@@ -57,13 +57,10 @@ def basis_row(degree: int, tau: float) -> np.ndarray:
     """Row vector [T_0(tau), ..., T_degree(tau)], length degree + 1."""
     degree = _check_degree(degree)
     tau = _check_tau(tau)
-    row = np.empty(degree + 1)
-    row[0] = 1.0
-    if degree >= 1:
-        row[1] = tau
-    for m in range(2, degree + 1):
-        row[m] = 2.0 * tau * row[m - 1] - row[m - 2]
-    return row
+    row = [1.0, tau]
+    for _ in range(2, degree + 1):
+        row.append(2.0 * tau * row[-1] - row[-2])
+    return np.array(row[: degree + 1])
 
 
 def basis_matrix(degree: int, taus) -> np.ndarray:
@@ -72,7 +69,11 @@ def basis_matrix(degree: int, taus) -> np.ndarray:
     Vectorized over taus; same recurrence as basis_row applied columnwise.
     """
     degree = _check_degree(degree)
-    taus = np.asarray([_check_tau(t) for t in np.atleast_1d(np.asarray(taus, dtype=float))])
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    inside = np.abs(taus) <= 1.0 + TAU_SLACK  # NaN compares false, so it is outside
+    if not inside.all():
+        raise ValueError(f"projected time must lie in [-1, 1], got {float(taus[~inside][0])}")
+    taus = taus.clip(-1.0, 1.0)
     out = np.empty((taus.size, degree + 1))
     out[:, 0] = 1.0
     if degree >= 1:

@@ -222,7 +222,9 @@ def verify_spectral_bound(
         pred = spectral_forecast(state, t_query)[0]
         errors.append(float(abs(channel(t_query) - pred)))
     contained = bool(all(err <= bound for err in errors))
-    error_ratio = float(max(errors) / min(errors))
+    # An exact fit (a polynomial channel at lambda = 0) can forecast some gap
+    # with zero error, where the ratio has no finite value.
+    error_ratio = float(max(errors) / min(errors)) if min(errors) > 0.0 else math.inf
     taylor_ratio = taylor_worst_case(1.0, taylor_order, max(gaps)) / taylor_worst_case(
         1.0, taylor_order, min(gaps)
     )

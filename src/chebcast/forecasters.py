@@ -48,6 +48,8 @@ class FeatureCache:
                 f"cache timesteps must be strictly increasing: {t} after {self._times[-1]}"
             )
         h = np.array(h, dtype=float).ravel()
+        if not np.isfinite(h).all():
+            raise ValueError(f"feature at t={t:g} has non-finite entries")
         if self._features and h.size != self._features[0].size:
             raise ValueError(
                 f"feature length {h.size} does not match cached length {self._features[0].size}"
@@ -58,13 +60,22 @@ class FeatureCache:
             del self._times[0]
             del self._features[0]
 
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
+    def times(self, last: int | None = None) -> np.ndarray:
+        """Cached timesteps, oldest first; only the newest `last` when given."""
+        return np.asarray(self._times[self._first(last):], dtype=float)
 
-    def feature_stack(self) -> np.ndarray:
+    def feature_stack(self, last: int | None = None) -> np.ndarray:
+        """Cached features as rows, oldest first; only the newest `last` when given."""
         if not self._features:
             raise ValueError("cache is empty")
-        return np.stack(self._features, axis=0)
+        return np.array(self._features[self._first(last):])
+
+    def _first(self, last: int | None) -> int:
+        if last is None:
+            return 0
+        if not 1 <= last <= len(self._times):
+            raise ValueError(f"cannot read the newest {last} of {len(self._times)} entries")
+        return len(self._times) - last
 
     def latest(self) -> tuple[float, np.ndarray]:
         if not self._times:
@@ -105,8 +116,8 @@ def taylor_forecast(cache: FeatureCache, t: float, order: int) -> np.ndarray:
     if order == 0:
         return naive_forecast(cache, t)
 
-    times = cache.times()[-(order + 1):]
-    values = cache.feature_stack()[-(order + 1):]
+    times = cache.times(order + 1)
+    values = cache.feature_stack(order + 1)
     t_anchor = times[-1]
 
     # Divided-difference table, keeping only the diagonal that ends at the
@@ -140,22 +151,44 @@ class SpectralConfig:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Fitted coefficients carried between sampler steps."""
+    """Fitted coefficients carried between sampler steps.
+
+    coeffs.factor is the QR state of the fit, which the next fit to the same
+    cache extends instead of refactoring every cached entry.
+    """
 
     coeffs: CoefficientMatrix
     fitted_at: float
     n_points: int
 
 
-def spectral_fit(cache: FeatureCache, config: SpectralConfig) -> SpectralState:
-    """Fit Chebyshev coefficients to the whole cache by ridge regression."""
-    if len(cache) == 0:
+def spectral_fit(
+    cache: FeatureCache, config: SpectralConfig, prior: SpectralState | None = None
+) -> SpectralState:
+    """Fit Chebyshev coefficients to the whole cache by ridge regression.
+
+    prior, an earlier fit to this cache, lets only the entries inserted since
+    be folded into its factor; after a window eviction, or without prior, the
+    whole cache is fitted.  At lambda = 0 an exact solve needs degree+1
+    points, so a shorter cache is fitted at degree len(cache)-1 (the
+    interpolant); with lambda > 0 the full degree is always solvable.
+    """
+    n = len(cache)
+    if n == 0:
         raise ValueError("cannot fit spectral coefficients on an empty cache")
-    taus = [project_time(t) for t in cache.times()]
-    phi = build_design(taus, config.degree)
-    coeffs = solve_ridge(phi, cache.feature_stack(), config.lam)
-    t_latest, _ = cache.latest()
-    return SpectralState(coeffs=coeffs, fitted_at=t_latest, n_points=len(cache))
+    new = n
+    if prior is not None and prior.coeffs.factor is not None and 0 < prior.n_points < n:
+        # Entries are only appended or evicted from the front, so the prior
+        # fit covers the oldest prior.n_points entries iff the last of them
+        # is still the one it was fitted at.
+        if cache.times(n - prior.n_points + 1)[0] == prior.fitted_at:
+            new = n - prior.n_points
+    factor = prior.coeffs.factor if new < n else None
+    times = cache.times(new)
+    phi = build_design([project_time(t) for t in times], config.degree)
+    degree = config.degree if config.lam > 0.0 else min(config.degree, n - 1)
+    coeffs = solve_ridge(phi, cache.feature_stack(new), config.lam, prior=factor, degree=degree)
+    return SpectralState(coeffs=coeffs, fitted_at=float(times[-1]), n_points=n)
 
 
 def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
@@ -204,9 +237,10 @@ class TaylorForecaster:
 class SpectralForecaster:
     """Global Chebyshev ridge forecaster; refits after every observation.
 
-    At lambda = 0 an exact solve needs at least degree+1 points, so the fit
-    degree is capped at len(cache)-1 until the cache is deep enough; with
-    lambda > 0 the full degree is always solvable and no cap applies.
+    Each refit folds the new entry into the previous fit's QR factor, so an
+    observation costs the same however deep the cache is.  At lambda = 0 the
+    fit degree is capped at len(cache)-1 until the cache is deep enough (see
+    spectral_fit).
     """
 
     name = "spectral"
@@ -219,10 +253,7 @@ class SpectralForecaster:
 
     def observe(self, t: float, h) -> None:
         self.cache.insert(t, h)
-        config = self.config
-        if config.lam == 0.0 and len(self.cache) <= config.degree:
-            config = SpectralConfig(degree=len(self.cache) - 1, lam=0.0)
-        self.state = spectral_fit(self.cache, config)
+        self.state = spectral_fit(self.cache, self.config, self.state)
         self.fit_count += 1
 
     def predict(self, t: float) -> np.ndarray:

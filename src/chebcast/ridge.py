@@ -1,21 +1,25 @@
 """Closed-form ridge regression on a Chebyshev design matrix.
 
 The design matrix stacks basis rows at the projected cached timesteps; the
-coefficient matrix solves
+coefficient matrix minimizes
 
-    (Phi^T Phi + lambda I) C = Phi^T H
+    ||Phi C - H||_F^2 + lambda ||C||_F^2,
 
-through a Cholesky factorization of the (M+1) x (M+1) normal matrix.  The
-normal matrix is tiny, so everything runs in float64 and precision wins over
-cleverness.
+which is the least-squares problem [sqrt(lambda) I; Phi] C ~ [0; H].  It is
+solved through the QR factorization of that stacked matrix, never through
+the normal equations, so the condition number is not squared and no
+stabilizing diagonal is ever added.  The factor R and the matching rows of
+Q^T [0; H] are kept, so rows observed later are folded into them one small
+QR at a time (Golub & Van Loan, Matrix Computations, sec. 6.5) instead of
+refactoring every row seen so far.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .basis import basis_matrix
 
@@ -23,7 +27,7 @@ DEFAULT_LAMBDA = 0.1
 
 
 class RidgeFitError(RuntimeError):
-    """Normal-matrix factorization failed (rank-deficient design at lambda = 0)."""
+    """The ridge problem has no unique solution (rank-deficient design at lambda = 0)."""
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,27 @@ class DesignMatrix:
         return self.rows.shape[1] - 1
 
 
+@dataclass(frozen=True, eq=False)
+class RidgeFactor:
+    """Triangular factor of the stacked problem [sqrt(lam) I; Phi] C ~ [0; H].
+
+    r is the (M+1) x (M+1) upper-triangular R of the stacked design, qth the
+    matching (M+1) x F rows of Q^T [0; H], and n_points the number of design
+    rows folded in.  The ridge coefficients solve R C = Q^T H.
+    """
+
+    r: np.ndarray
+    qth: np.ndarray
+    lam: float
+    n_points: int
+
+
 @dataclass(frozen=True)
 class CoefficientMatrix:
-    """(M+1) x F fitted coefficients; jitter records any stabilizing diagonal added."""
+    """(M+1) x F fitted coefficients; factor is the QR state they were solved from."""
 
     coeffs: np.ndarray
-    jitter: float = field(default=0.0, compare=False)
+    factor: RidgeFactor | None = field(default=None, compare=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -67,7 +86,7 @@ def build_design(cached_taus, degree: int) -> DesignMatrix:
     taus = np.asarray(cached_taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("cached taus must be a non-empty 1-D sequence")
-    if np.any(np.diff(taus) <= 0.0):
+    if (taus[1:] <= taus[:-1]).any():
         raise ValueError("cached taus must be strictly increasing")
     return DesignMatrix(rows=basis_matrix(degree, taus), cached_taus=taus)
 
@@ -83,60 +102,87 @@ def _as_feature_matrix(values, n_points: int) -> np.ndarray:
     return H
 
 
-def solve_ridge(phi: DesignMatrix, features, lam: float = DEFAULT_LAMBDA) -> CoefficientMatrix:
-    """Solve the ridge normal equations for the coefficient matrix.
+def _fold(r: np.ndarray, qth: np.ndarray, rows: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and Q^T H after appending rows | H to the problem that r | qth factor.
 
-    At lambda = 0 the design must have at least M+1 rows (full column rank);
-    a short cache is a deterministic RidgeFitError, not a silent fallback.
-    If the factorization fails numerically despite K >= M+1, one retry with a
-    trace-scaled jitter is attempted and recorded on the result.
+    One Householder QR of the small (M+1+K) x (M+1) stack [r; rows]; its
+    orthonormal Q^T then maps [qth; H] to the new Q^T H in one product, so
+    the cost in the channel count F is a single (M+1) x (M+1+K) x F matmul.
+    """
+    q, r = np.linalg.qr(np.concatenate([r, rows]))
+    return r, q.T @ np.concatenate([qth, H])
+
+
+def _solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
+    """Back substitution on the leading n_coef x n_coef block of R.
+
+    QR of the first columns of a matrix is the leading block of its R, so
+    this is the fit with the first n_coef basis functions only.
+    """
+    r = factor.r[:n_coef, :n_coef]
+    qth = factor.qth[:n_coef]
+    if factor.lam == 0.0:
+        if factor.n_points < n_coef:
+            raise RidgeFitError(
+                f"cannot solve at lambda=0 with {factor.n_points} points and {n_coef} coefficients"
+            )
+        diag = np.abs(np.diag(r))
+        if not diag.min() > max(factor.n_points, n_coef) * np.finfo(float).eps * diag.max():
+            raise RidgeFitError(f"design is rank-deficient at lambda=0 (|R| diagonal {diag})")
+    coeffs = np.empty_like(qth)
+    for i in range(n_coef - 1, -1, -1):
+        coeffs[i] = (qth[i] - r[i, i + 1:] @ coeffs[i + 1:]) / r[i, i]
+    if not np.isfinite(coeffs).all():
+        raise RidgeFitError("ridge solve produced non-finite coefficients")
+    return coeffs
+
+
+def solve_ridge(
+    phi: DesignMatrix,
+    features,
+    lam: float = DEFAULT_LAMBDA,
+    prior: RidgeFactor | None = None,
+    degree: int | None = None,
+) -> CoefficientMatrix:
+    """Solve the ridge problem for the coefficient matrix by QR.
+
+    Without prior the factor starts at R = sqrt(lam) I, Q^T H = 0 and every
+    row of phi is folded in.  With prior, the factor returned earlier for the
+    same lambda, degree and channel count, only the rows of phi are folded
+    in, and the result is the fit to the prior rows and these together.
+
+    degree (default: the design's) solves for the leading degree+1
+    coefficients only.  At lambda = 0 that needs at least degree+1 points in
+    general position; a short cache or a rank-deficient design is a
+    RidgeFitError, never a silent fallback.
     """
     lam = float(lam)
     if lam < 0.0:
         raise ValueError(f"regularization strength must be >= 0, got {lam}")
     H = _as_feature_matrix(features, phi.n_points)
     n_coef = phi.degree + 1
-    if lam == 0.0 and phi.n_points < n_coef:
-        raise RidgeFitError(
-            f"cannot solve at lambda=0 with {phi.n_points} points and {n_coef} coefficients"
-        )
-
-    gram = phi.rows.T @ phi.rows
-    rhs = phi.rows.T @ H
-
-    def attempt(diag: float) -> np.ndarray:
-        normal = gram + diag * np.eye(n_coef)
-        factor = scipy.linalg.cho_factor(normal, lower=True)
-        return scipy.linalg.cho_solve(factor, rhs)
-
-    jitter = 0.0
-    try:
-        coeffs = attempt(lam)
-    except scipy.linalg.LinAlgError:
-        if lam > 0.0:
-            raise RidgeFitError("normal matrix not SPD despite positive lambda") from None
-        jitter = 1e-10 * np.trace(gram) / n_coef
-        try:
-            coeffs = attempt(jitter)
-        except scipy.linalg.LinAlgError:
-            raise RidgeFitError(
-                "normal matrix not numerically SPD at lambda=0 (rank-deficient design)"
-            ) from None
-
-    if not np.all(np.isfinite(coeffs)):
-        raise RidgeFitError("ridge solve produced non-finite coefficients")
-    return CoefficientMatrix(coeffs=coeffs, jitter=jitter)
+    degree = phi.degree if degree is None else int(degree)
+    if not 0 <= degree <= phi.degree:
+        raise ValueError(f"solve degree must lie in [0, {phi.degree}], got {degree}")
+    if prior is None:
+        r, qth, n_points = math.sqrt(lam) * np.eye(n_coef), np.zeros((n_coef, H.shape[1])), 0
+    else:
+        if prior.lam != lam or prior.qth.shape != (n_coef, H.shape[1]):
+            raise ValueError(
+                f"prior factor (lambda={prior.lam}, shape {prior.qth.shape}) does not match "
+                f"lambda={lam} with {n_coef} coefficients and {H.shape[1]} channels"
+            )
+        r, qth, n_points = prior.r, prior.qth, prior.n_points
+    r, qth = _fold(r, qth, phi.rows, H)
+    factor = RidgeFactor(r=r, qth=qth, lam=lam, n_points=n_points + phi.n_points)
+    return CoefficientMatrix(coeffs=_solve_leading(factor, degree + 1), factor=factor)
 
 
 def min_singular(phi: DesignMatrix) -> float:
-    """Smallest singular value of the design matrix.
-
-    Computed as sqrt of the smallest eigenvalue of the (M+1) x (M+1) Gram
-    matrix; tiny negative eigenvalues from round-off clamp to zero.
-    """
-    gram = phi.rows.T @ phi.rows
-    smallest = float(np.linalg.eigvalsh(gram)[0])
-    return float(np.sqrt(max(smallest, 0.0)))
+    """Smallest singular value of the design matrix (0 with fewer rows than columns)."""
+    if phi.n_points < phi.degree + 1:
+        return 0.0
+    return float(np.linalg.svd(phi.rows, compute_uv=False)[-1])
 
 
 def ridge_objective(phi: DesignMatrix, features, coeffs: CoefficientMatrix, lam: float) -> float:

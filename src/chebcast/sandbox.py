@@ -29,6 +29,7 @@ from .forecasters import (
     SpectralForecaster,
     TaylorForecaster,
 )
+from .ridge import RidgeFitError
 from .schedule import ActivationSchedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -362,7 +363,10 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         if j in full_pass:
             h, eps = evaluate_denoiser(spec, x, t)
             if forecaster is not None:
-                forecaster.observe(t, h)
+                try:
+                    forecaster.observe(t, h)
+                except (ValueError, RidgeFitError) as err:
+                    raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
             flags.append("actual")
         else:
             try:
@@ -410,8 +414,11 @@ def _run_per_block(spec: DenoiserSpec, config: SolverConfig, x: np.ndarray, star
         t = (j - 1) * dt
         if j in full_pass:
             stages = spec.stage_outputs(t)
-            for b, fc in enumerate(per_block):
-                fc.observe(t, stages[b + 1] - stages[b])
+            try:
+                for b, fc in enumerate(per_block):
+                    fc.observe(t, stages[b + 1] - stages[b])
+            except (ValueError, RidgeFitError) as err:
+                raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
             h = stages[-1]
             flags.append("actual")
         else:

@@ -58,6 +58,17 @@ def test_tau_out_of_range_rejected():
     assert eval_cheb(3, 1.0 + 1e-13) == pytest.approx(1.0)
 
 
+def test_basis_matrix_names_first_bad_tau():
+    with pytest.raises(ValueError, match=r"projected time must lie in \[-1, 1\], got 1.5"):
+        basis_matrix(2, [0.0, 1.5, -2.0])
+    with pytest.raises(ValueError, match="got nan"):
+        basis_matrix(2, [0.0, float("nan")])
+    with pytest.raises(ValueError, match="got -inf"):
+        basis_matrix(2, [float("-inf")])
+    # slack at the boundary is clipped, exactly as basis_row does
+    np.testing.assert_array_equal(basis_matrix(3, [1.0 + 1e-13])[0], basis_row(3, 1.0 + 1e-13))
+
+
 def test_negative_degree_rejected():
     with pytest.raises(ValueError, match="degree"):
         eval_cheb(-1, 0.0)

@@ -233,6 +233,67 @@ def test_lambda_zero_warmup_caps_degree():
     assert fc.state.coeffs.degree == 4
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("window", [None, 4])
+def test_streaming_fit_equals_batch_fit(lam, window):
+    rng = np.random.default_rng(16)
+    for _ in range(6):
+        degree = int(rng.integers(0, 6))
+        config = SpectralConfig(degree=degree, lam=lam)
+        fc = SpectralForecaster(config, window=window)
+        n_channels = int(rng.integers(1, 5))
+        # K runs from 1 past degree+1, through the lambda=0 degree cap and, with
+        # a window, past eviction; one time per cell of a uniform grid keeps
+        # the design well conditioned, so round-off stays far below 1e-12
+        n_points = degree + 6
+        for t in (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points:
+            fc.observe(t, rng.normal(size=n_channels))
+            batch = spectral_fit(fc.cache, config).coeffs.coeffs
+            if lam == 0.0:
+                assert fc.state.coeffs.degree == min(degree, len(fc.cache) - 1)
+            np.testing.assert_allclose(
+                fc.state.coeffs.coeffs, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max())
+            )
+
+
+def test_observe_folds_in_only_the_new_entry(monkeypatch):
+    import chebcast.forecasters as forecasters
+
+    rows = []
+    real = forecasters.solve_ridge
+
+    def counting(phi, *args, **kwargs):
+        rows.append(phi.n_points)
+        return real(phi, *args, **kwargs)
+
+    monkeypatch.setattr(forecasters, "solve_ridge", counting)
+    fc = SpectralForecaster(window=3)
+    for t in (0.0, 0.1, 0.2, 0.3, 0.4):
+        fc.observe(t, [t, 1.0])
+    # the window refits all of itself once an eviction has dropped a fitted row
+    assert rows == [1, 1, 1, 3, 3]
+
+
+def test_non_finite_feature_rejected_at_insert():
+    cache = filled_cache([(0.0, [1.0, 2.0])])
+    with pytest.raises(ValueError, match="t=0.5 has non-finite"):
+        cache.insert(0.5, [np.nan, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        cache.insert(0.5, [1.0, np.inf])
+    assert len(cache) == 1
+
+
+def test_taylor_reads_only_the_newest_entries():
+    rng = np.random.default_rng(17)
+    pairs = [(t, rng.normal(size=5)) for t in np.linspace(0.0, 0.6, 9)]
+    full = filled_cache(pairs)
+    for order in range(4):
+        short = FeatureCache(capacity=order + 1)
+        for t, h in pairs:
+            short.insert(t, h)
+        assert np.array_equal(taylor_forecast(full, 0.8, order), taylor_forecast(short, 0.8, order))
+
+
 def test_forecast_time_outside_unit_interval_rejected():
     cache = filled_cache([(0.2, [1.0])])
     state = spectral_fit(cache, SpectralConfig())

@@ -1,5 +1,8 @@
 """Tests for the design matrix and the closed-form ridge solve."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,63 @@ def test_short_cache_without_ridge_fails_deterministically():
     phi = build_design([-1.0, -0.9], 4)
     with pytest.raises(RidgeFitError, match="lambda=0"):
         solve_ridge(phi, np.ones((2, 1)), 0.0)
+
+
+def test_rank_deficient_design_without_ridge_fails():
+    # three rows, but the second basis column is identically zero
+    phi = DesignMatrix(rows=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), cached_taus=np.zeros(3))
+    with pytest.raises(RidgeFitError, match="rank-deficient"):
+        solve_ridge(phi, np.ones((3, 1)), 0.0)
+    assert np.all(np.isfinite(solve_ridge(phi, np.ones((3, 1)), 0.1).coeffs))
+
+
+def test_clustered_degree_eight_fits_polynomial_data_to_round_off():
+    # cond(Phi) ~ 3e12: the normal equations square it past 1/eps
+    phi = build_design(np.linspace(-1.0, -0.8, 20), 8)
+    H = phi.rows @ np.random.default_rng(13).normal(size=(9, 3))
+    C = solve_ridge(phi, H, 0.0)
+    assert np.max(np.abs(phi.rows @ C.coeffs - H)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_prior_factor_folds_rows_like_one_batch(lam):
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        degree = int(rng.integers(0, 7))
+        n_points = degree + 2 + int(rng.integers(0, 6))
+        taus = 2.0 * (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points - 1.0
+        H = rng.normal(size=(n_points, int(rng.integers(1, 5))))
+        batch = solve_ridge(build_design(taus, degree), H, lam).coeffs
+        split = int(rng.integers(1, n_points))
+        head = solve_ridge(build_design(taus[:split], degree), H[:split], lam, degree=min(degree, split - 1))
+        tail = solve_ridge(build_design(taus[split:], degree), H[split:], lam, prior=head.factor)
+        assert tail.factor.n_points == n_points
+        np.testing.assert_allclose(tail.coeffs, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
+
+
+def test_leading_block_solve_is_the_lower_degree_fit():
+    rng = np.random.default_rng(15)
+    taus = np.sort(rng.uniform(-1, 1, 9))
+    H = rng.normal(size=(9, 2))
+    for lam in (0.0, 0.1):
+        capped = solve_ridge(build_design(taus, 5), H, lam, degree=2)
+        direct = solve_ridge(build_design(taus, 2), H, lam)
+        np.testing.assert_allclose(capped.coeffs, direct.coeffs, rtol=0.0, atol=1e-12)
+
+
+def test_prior_for_another_problem_rejected():
+    phi = build_design([-0.5, 0.5], 1)
+    fit = solve_ridge(phi, np.ones((2, 2)), 0.1)
+    with pytest.raises(ValueError, match="prior factor"):
+        solve_ridge(build_design([0.7], 1), np.ones((1, 2)), 0.2, prior=fit.factor)
+    with pytest.raises(ValueError, match="prior factor"):
+        solve_ridge(build_design([0.7], 2), np.ones((1, 2)), 0.1, prior=fit.factor)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, chebcast; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_shape_mismatch_rejected():

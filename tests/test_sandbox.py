@@ -188,6 +188,25 @@ def test_forecaster_error_carries_step_index():
         run_sampler(spec, config, np.zeros(2))
 
 
+class _NanAfter(BlockStack):
+    """Block stack whose output turns NaN from t = 0.3 on."""
+
+    def stage_outputs(self, t):
+        stages = super().stage_outputs(t)
+        if t >= 0.3:
+            stages[-1] = np.full_like(stages[-1], np.nan)
+        return stages
+
+
+@pytest.mark.parametrize("scope", ["last_block", "per_block"])
+def test_non_finite_feature_fails_at_its_step(scope):
+    spec = _NanAfter(n_blocks=2, width=3)
+    config = SolverConfig(uniform_schedule(20, 2, 1), ForecasterChoice(kind="spectrum", cache_scope=scope))
+    # t = (j-1)/20 >= 0.3 first at step 7, an actual pass of the interval-2 schedule
+    with pytest.raises(SamplerError, match=r"observe failed at step 7 \(t=0.3\).*non-finite"):
+        run_sampler(spec, config, np.zeros(3))
+
+
 def test_rmse_identical_runs_is_zero():
     spec = single_gaussian(0.2, 1.1, 3)
     x0 = sample_initial_latent(3, 1)
