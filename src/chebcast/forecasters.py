@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_row, project_time
-from .ridge import DEFAULT_LAMBDA, CoefficientMatrix, build_design, solve_ridge
+from .basis import basis_matrix, basis_row, project_time
+from .ridge import DEFAULT_LAMBDA, CoefficientMatrix, DesignMatrix, solve_ridge
 
 DEFAULT_DEGREE = 4
 
@@ -185,7 +185,8 @@ def spectral_fit(
             new = n - prior.n_points
     factor = prior.coeffs.factor if new < n else None
     times = cache.times(new)
-    phi = build_design([project_time(t) for t in times], config.degree)
+    taus = 2.0 * times - 1.0  # project_time, vectorized; basis_matrix checks the range
+    phi = DesignMatrix(rows=basis_matrix(config.degree, taus), cached_taus=taus)
     degree = config.degree if config.lam > 0.0 else min(config.degree, n - 1)
     coeffs = solve_ridge(phi, cache.feature_stack(new), config.lam, prior=factor, degree=degree)
     return SpectralState(coeffs=coeffs, fitted_at=float(times[-1]), n_points=n)

@@ -53,6 +53,7 @@ class GaussianMixtureFlow:
     means: np.ndarray      # (n_components, dim)
     variances: np.ndarray  # (n_components, dim), strictly positive
     seed: int = 0
+    _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "gaussian_mixture_flow"
 
@@ -72,6 +73,9 @@ class GaussianMixtureFlow:
             raise ValueError("mixture weights must be non-negative and sum to 1")
         if np.any(variances <= 0.0):
             raise ValueError("mixture variances must be strictly positive")
+        # A zero weight becomes -inf, so its component gets zero responsibility.
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_weights", np.log(w))
 
     @property
     def dim(self) -> int:
@@ -91,7 +95,7 @@ class GaussianMixtureFlow:
         x = np.asarray(x, dtype=float)
         s2 = (1.0 - t) ** 2 + t * t * self.variances          # (C, D)
         centered = x[None, :] - t * self.means                # (C, D)
-        log_resp = np.log(np.asarray(self.weights)) - 0.5 * np.sum(
+        log_resp = self._log_weights - 0.5 * np.sum(
             centered * centered / s2 + np.log(2.0 * np.pi * s2), axis=1
         )
         log_resp -= log_resp.max()
@@ -301,6 +305,8 @@ class TrajectoryRecord:
     states: np.ndarray      # (N, D) state after each step
     features: np.ndarray    # (N, F) feature used at each step
     flags: tuple[str, ...]  # "actual" | "forecast"
+    # Coefficient fits: one per actual pass, or with per-block caching one
+    # per block per pass, all blocks fitted through one shared ridge factor.
     fit_count: int
     wall_time: float
 
@@ -330,6 +336,12 @@ def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
+def _per_block_pass(spec: BlockStack, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """One actual pass for per-block caching: (output h, block residuals y_b - y_(b-1))."""
+    stages = spec.stage_outputs(t)
+    return stages[-1], np.diff(stages, axis=0)
+
+
 def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> TrajectoryRecord:
     """Iterate the schedule over t in [0, 1), forecasting on skipped steps.
 
@@ -338,6 +350,13 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     and refit the forecaster state, per the online fit-then-forecast loop.
     The oracle kind performs a full pass at every step regardless of the
     schedule and is the reference trajectory for RMSE comparisons.
+
+    Last-block caching observes the output feature h.  Per-block caching
+    (block_stack only) observes every block's residual y_b - y_(b-1), stacked
+    into one spectral forecaster: each block keeps its own coefficient
+    columns, all fitted through one shared ridge factor.  The base feature
+    needs no network pass, so a skipped step reconstructs h as base(t) plus
+    the sum of the per-block residual forecasts.
     """
     started = time.perf_counter()
     schedule = config.schedule
@@ -348,11 +367,19 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         raise ValueError(f"initial latent must have shape ({spec.dim},), got {x.shape}")
 
     choice = config.forecaster
-    if choice.cache_scope == "per_block":
-        return _run_per_block(spec, config, x, started)
-
     forecaster = _make_forecaster(choice)
-    full_pass = set(schedule.full_pass_indices) if choice.kind != "oracle" else set(range(1, n + 1))
+    full_pass = schedule.full_pass_set if choice.kind != "oracle" else frozenset(range(1, n + 1))
+    # The score is h itself, so evaluate_denoiser's (h, eps) is also (h, observed).
+    actual_pass, n_blocks = evaluate_denoiser, 1
+    predict = getattr(forecaster, "predict", None)
+    if choice.cache_scope == "per_block":
+        if not isinstance(spec, BlockStack):
+            raise ValueError("per-block caching requires a block_stack denoiser")
+        actual_pass, n_blocks = _per_block_pass, spec.n_blocks
+
+        def predict(t: float) -> np.ndarray:
+            residuals = forecaster.predict(t).reshape(n_blocks, -1)
+            return spec.base_feature(t) + residuals.sum(axis=0)
 
     times = np.empty(n)
     states = np.empty((n, spec.dim))
@@ -361,71 +388,16 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     for j in range(1, n + 1):
         t = (j - 1) * dt
         if j in full_pass:
-            h, eps = evaluate_denoiser(spec, x, t)
+            h, observed = actual_pass(spec, x, t)
             if forecaster is not None:
                 try:
-                    forecaster.observe(t, h)
+                    forecaster.observe(t, observed)
                 except (ValueError, RidgeFitError) as err:
                     raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
             flags.append("actual")
         else:
             try:
-                h = forecaster.predict(t)
-            except Exception as err:
-                raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
-            eps = h
-            flags.append("forecast")
-        x = euler_step(x, eps, t, t + dt if j < n else 1.0)
-        times[j - 1] = t
-        states[j - 1] = x
-        features[j - 1] = h
-
-    return TrajectoryRecord(
-        times=times,
-        states=states,
-        features=features,
-        flags=tuple(flags),
-        fit_count=getattr(forecaster, "fit_count", 0),
-        wall_time=time.perf_counter() - started,
-    )
-
-
-def _run_per_block(spec: DenoiserSpec, config: SolverConfig, x: np.ndarray, started: float) -> TrajectoryRecord:
-    """Per-block caching: one spectral forecaster per residual block.
-
-    The base feature is computable without a network pass, so a skipped step
-    reconstructs the output as base(t) plus the sum of forecast residuals.
-    """
-    if not isinstance(spec, BlockStack):
-        raise ValueError("per-block caching requires a block_stack denoiser")
-    choice = config.forecaster
-    schedule = config.schedule
-    n = schedule.n_steps
-    dt = 1.0 / n
-    spectral = SpectralConfig(degree=choice.degree, lam=choice.lam)
-    per_block = [SpectralForecaster(spectral, window=choice.window) for _ in range(spec.n_blocks)]
-    full_pass = set(schedule.full_pass_indices)
-
-    times = np.empty(n)
-    states = np.empty((n, spec.dim))
-    features = np.empty((n, spec.feature_dim))
-    flags = []
-    for j in range(1, n + 1):
-        t = (j - 1) * dt
-        if j in full_pass:
-            stages = spec.stage_outputs(t)
-            try:
-                for b, fc in enumerate(per_block):
-                    fc.observe(t, stages[b + 1] - stages[b])
-            except (ValueError, RidgeFitError) as err:
-                raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
-            h = stages[-1]
-            flags.append("actual")
-        else:
-            try:
-                h = spec.base_feature(t)
-                for fc in per_block:
-                    h = h + fc.predict(t)
+                h = predict(t)
             except Exception as err:
                 raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
             flags.append("forecast")
@@ -439,7 +411,7 @@ def _run_per_block(spec: DenoiserSpec, config: SolverConfig, x: np.ndarray, star
         states=states,
         features=features,
         flags=tuple(flags),
-        fit_count=sum(fc.fit_count for fc in per_block),
+        fit_count=getattr(forecaster, "fit_count", 0) * n_blocks,
         wall_time=time.perf_counter() - started,
     )
 

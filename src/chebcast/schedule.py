@@ -13,7 +13,7 @@ precomputed and immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class ScheduleParams:
 class ActivationSchedule:
     n_steps: int
     full_pass_indices: tuple[int, ...]
+    full_pass_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = self.full_pass_indices
@@ -47,11 +48,11 @@ class ActivationSchedule:
             raise ValueError("full-pass indices must be strictly increasing")
         if idx[-1] > self.n_steps:
             raise ValueError("full-pass index beyond the last step")
+        object.__setattr__(self, "full_pass_set", frozenset(idx))
 
     @property
     def forecast_indices(self) -> tuple[int, ...]:
-        full = set(self.full_pass_indices)
-        return tuple(j for j in range(1, self.n_steps + 1) if j not in full)
+        return tuple(j for j in range(1, self.n_steps + 1) if j not in self.full_pass_set)
 
     @property
     def nfe(self) -> int:
@@ -63,7 +64,7 @@ class ActivationSchedule:
         return self.n_steps / self.nfe
 
     def is_full_pass(self, step: int) -> bool:
-        return step in set(self.full_pass_indices)
+        return step in self.full_pass_set
 
     def index_line(self) -> str:
         """Comma-separated 1-based full-pass indices, for dumps and golden files."""

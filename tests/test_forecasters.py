@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebcast import (
     EllipseBound,
@@ -254,6 +256,34 @@ def test_streaming_fit_equals_batch_fit(lam, window):
             np.testing.assert_allclose(
                 fc.state.coeffs.coeffs, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max())
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+    window=st.one_of(st.none(), st.integers(1, 8)),
+    n_points=st.integers(1, 14),
+    n_prior=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_with_prior_equals_batch_fit(degree, lam, window, n_points, n_prior, seed):
+    rng = np.random.default_rng(seed)
+    config = SpectralConfig(degree=degree, lam=lam)
+    cache = FeatureCache(capacity=window)
+    n_channels = int(rng.integers(1, 5))
+    # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
+    times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
+    prior = None
+    for k, t in enumerate(times, start=1):
+        cache.insert(t, rng.normal(size=n_channels))
+        if k == min(n_prior, n_points):
+            prior = spectral_fit(cache, config)
+    # every entry after the prior's is folded into its factor at once, or,
+    # when the window evicted a row the prior fitted, the window is refitted
+    folded = spectral_fit(cache, config, prior).coeffs.coeffs
+    batch = spectral_fit(cache, config).coeffs.coeffs
+    np.testing.assert_allclose(folded, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
 
 
 def test_observe_folds_in_only_the_new_entry(monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the analytic denoisers and the step-skipping sampler."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from chebcast import (
     trajectory_to_csv,
     uniform_schedule,
 )
+from chebcast.forecasters import SpectralConfig, SpectralForecaster
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
 from oracles import mc_velocity_single_gaussian
@@ -69,6 +72,18 @@ def test_mixture_weight_validation():
         GaussianMixtureFlow(weights=(0.6, 0.6), means=np.zeros((2, 2)), variances=np.ones((2, 2)))
     with pytest.raises(ValueError, match="positive"):
         GaussianMixtureFlow(weights=(1.0,), means=np.zeros((1, 2)), variances=np.zeros((1, 2)))
+
+
+def test_zero_weight_component_gets_no_responsibility_and_no_warning():
+    means = np.array([[2.0, 0.0], [-1.0, 3.0]])
+    variances = np.array([[0.5, 0.5], [0.8, 0.3]])
+    spec = GaussianMixtureFlow(weights=(0.0, 1.0), means=means, variances=variances)
+    alone = GaussianMixtureFlow(weights=(1.0,), means=means[1:], variances=variances[1:])
+    x = np.array([0.4, -0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.0, 0.3, 1.0):
+            np.testing.assert_array_equal(spec.velocity(x, t), alone.velocity(x, t))
 
 
 def test_function_family_evaluation():
@@ -251,6 +266,81 @@ def test_last_block_caching_close_to_per_block_with_fewer_fits():
         rmse_last = rmse_vs_oracle(last, oracle, [50])[0]
         rmse_per = rmse_vs_oracle(per, oracle, [50])[0]
         assert rmse_last <= 1.2 * rmse_per
+
+
+def per_block_reference(spec, config, x0):
+    """Per-block caching with one independent spectral forecaster per block."""
+    choice = config.forecaster
+    spectral = SpectralConfig(degree=choice.degree, lam=choice.lam)
+    per_block = [SpectralForecaster(spectral, window=choice.window) for _ in range(spec.n_blocks)]
+    n = config.n_steps
+    dt = 1.0 / n
+    x = np.asarray(x0, dtype=float)
+    states, features = [], []
+    for j in range(1, n + 1):
+        t = (j - 1) * dt
+        if config.schedule.is_full_pass(j):
+            stages = spec.stage_outputs(t)
+            for b, fc in enumerate(per_block):
+                fc.observe(t, stages[b + 1] - stages[b])
+            h = stages[-1]
+        else:
+            h = spec.base_feature(t)
+            for fc in per_block:
+                h = h + fc.predict(t)
+        x = euler_step(x, h, t, t + dt if j < n else 1.0)
+        states.append(x)
+        features.append(h)
+    return np.array(states), np.array(features), sum(fc.fit_count for fc in per_block)
+
+
+def assert_relative_close(actual, expected, rtol):
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "schedule, choice",
+    [
+        # default spectral settings
+        (uniform_schedule(50, 4, 3), ForecasterChoice(kind="spectrum", cache_scope="per_block")),
+        # a window of 5 evicted from the 6th of 13 passes on
+        (uniform_schedule(50, 4, 1), ForecasterChoice(kind="spectrum", window=5, cache_scope="per_block")),
+        # lambda = 0: the forecasts at steps 2-3, ..., 11-12 fit fewer than degree + 1 points
+        (
+            uniform_schedule(40, 3, 1),
+            ForecasterChoice(kind="spectrum", degree=4, lam=0.0, cache_scope="per_block"),
+        ),
+    ],
+    ids=["default", "window-evicted", "lambda0-degree-cap"],
+)
+def test_stacked_per_block_matches_independent_forecasters(schedule, choice):
+    spec = BlockStack(n_blocks=3, width=16, gain=1.5, seed=4)
+    x0 = sample_initial_latent(spec.dim, 8)
+    run = run_sampler(spec, SolverConfig(schedule, choice), x0)
+    states, features, fit_count = per_block_reference(spec, SolverConfig(schedule, choice), x0)
+    assert_relative_close(run.features, features, 1e-12)
+    assert_relative_close(run.states, states, 1e-12)
+    assert run.fit_count == fit_count == spec.n_blocks * schedule.nfe
+    assert "forecast" in run.flags
+
+
+class _NanOnce(BlockStack):
+    """Block stack whose last block's residual is NaN at t = 0.4 only."""
+
+    def stage_outputs(self, t):
+        stages = super().stage_outputs(t)
+        if t == 0.4:
+            stages[-1] = stages[-1].copy()
+            stages[-1][0] = np.nan
+        return stages
+
+
+def test_per_block_nan_residual_fails_at_its_step():
+    spec = _NanOnce(n_blocks=3, width=4)
+    config = SolverConfig(uniform_schedule(20, 2, 1), ForecasterChoice(kind="spectrum", cache_scope="per_block"))
+    # t = 0.4 is step 9, an actual pass of the interval-2 schedule
+    with pytest.raises(SamplerError, match=r"observe failed at step 9 \(t=0.4\).*non-finite"):
+        run_sampler(spec, config, np.zeros(4))
 
 
 def test_per_block_requires_block_stack():

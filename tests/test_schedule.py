@@ -104,3 +104,11 @@ def test_invalid_params_rejected():
         ScheduleParams(50, 2, 1, -0.5)
     with pytest.raises(ValueError, match="full pass"):
         ActivationSchedule(n_steps=5, full_pass_indices=(2, 3))
+
+
+@pytest.mark.parametrize(
+    "schedule", [adaptive_schedule(ScheduleParams(50, 2, 5, 3.0)), uniform_schedule(50, 4, 3)]
+)
+def test_is_full_pass_agrees_with_indices(schedule):
+    for step in range(0, schedule.n_steps + 2):
+        assert schedule.is_full_pass(step) == (step in schedule.full_pass_indices)
