@@ -10,7 +10,6 @@ associated approximation error bounds.
 from .basis import EllipseBound, basis_matrix, basis_row, eval_cheb, project_time, truncation_bound
 from .bounds import (
     spectral_bound,
-    sweep_report,
     taylor_worst_case,
     verify_cheb_decay,
     verify_spectral_bound,
@@ -18,7 +17,6 @@ from .bounds import (
 )
 from .forecasters import (
     FeatureCache,
-    NaiveForecaster,
     SpectralConfig,
     SpectralForecaster,
     SpectralState,
@@ -54,6 +52,7 @@ from .sandbox import (
     rmse_vs_oracle,
     run_sampler,
     sample_initial_latent,
+    sweep_report,
     trajectory_to_csv,
 )
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule

@@ -42,15 +42,8 @@ def project_time(t: float) -> float:
 
 
 def eval_cheb(m: int, tau: float) -> float:
-    """Evaluate T_m(tau) by the three-term recurrence."""
-    m = _check_degree(m)
-    tau = _check_tau(tau)
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, tau
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * tau * cur - prev
-    return cur
+    """Evaluate T_m(tau) by the three-term recurrence: the last entry of basis_row."""
+    return float(basis_row(m, tau)[m])
 
 
 def basis_row(degree: int, tau: float) -> np.ndarray:

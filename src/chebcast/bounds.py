@@ -19,7 +19,6 @@ measurement convention throughout.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +26,6 @@ import numpy as np
 from .basis import EllipseBound, project_time, truncation_bound
 from .forecasters import FeatureCache, SpectralConfig, spectral_fit, spectral_forecast
 from .ridge import build_design, min_singular, solve_ridge
-from .sandbox import (
-    BENCHMARK_SEEDS,
-    ForecasterChoice,
-    SolverConfig,
-    benchmark_mixture,
-    oracle_run,
-    rmse_vs_oracle,
-    run_sampler,
-    sample_initial_latent,
-)
-from .schedule import ScheduleParams, adaptive_schedule, uniform_schedule
 
 DENSE_GRID = 10_000
 
@@ -238,68 +226,3 @@ def verify_spectral_bound(
         sigma_min=sigma,
         eps_m=eps_m,
     )
-
-
-# ---------------------------------------------------------------------------
-# Ablation sweeps over the mixture benchmark
-# ---------------------------------------------------------------------------
-
-SWEEP_AXES = ("lambda", "degree", "alpha")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    axis_value: float
-    mean_rmse: float
-    nfe: int
-    wall_seconds: float
-
-
-def _benchmark_schedule(alpha: float, n_steps: int):
-    """NFE-matched schedules: alpha > 0 adaptive, alpha = 0 uniform interval 8."""
-    if alpha == 0.0:
-        return uniform_schedule(n_steps, 8, 5)
-    return adaptive_schedule(ScheduleParams(n_steps=n_steps, interval=2, warmup=5, alpha=alpha))
-
-
-def sweep_report(axis: str, values, n_steps: int = 50, seeds=BENCHMARK_SEEDS, spec=None) -> list[SweepRow]:
-    """Run the mixture benchmark across one hyperparameter axis.
-
-    axis "lambda" and "degree" vary the spectral forecaster on the adaptive
-    alpha=3.0 schedule; axis "alpha" varies the schedule itself at matched
-    NFE.  Each row reports the across-seed mean of the final-state RMSE
-    against the per-seed oracle run.
-    """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if spec is None:
-        spec = benchmark_mixture()
-    oracles = {
-        seed: oracle_run(spec, n_steps, sample_initial_latent(spec.dim, seed)) for seed in seeds
-    }
-    rows = []
-    for value in values:
-        started = time.perf_counter()
-        if axis == "lambda":
-            schedule = _benchmark_schedule(3.0, n_steps)
-            choice = ForecasterChoice(kind="spectrum", lam=float(value))
-        elif axis == "degree":
-            schedule = _benchmark_schedule(3.0, n_steps)
-            choice = ForecasterChoice(kind="spectrum", degree=int(value))
-        else:
-            schedule = _benchmark_schedule(float(value), n_steps)
-            choice = ForecasterChoice(kind="spectrum")
-        config = SolverConfig(schedule=schedule, forecaster=choice)
-        finals = []
-        for seed in seeds:
-            run = run_sampler(spec, config, sample_initial_latent(spec.dim, seed))
-            finals.append(rmse_vs_oracle(run, oracles[seed], [n_steps])[0])
-        rows.append(
-            SweepRow(
-                axis_value=float(value),
-                mean_rmse=float(np.mean(finals)),
-                nfe=schedule.nfe,
-                wall_seconds=time.perf_counter() - started,
-            )
-        )
-    return rows

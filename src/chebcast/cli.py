@@ -19,15 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from .basis import EllipseBound
-from .bounds import (
-    SWEEP_AXES,
-    sweep_report,
-    verify_cheb_decay,
-    verify_spectral_bound,
-    verify_taylor_attainment,
-)
+from .bounds import verify_cheb_decay, verify_spectral_bound, verify_taylor_attainment
 from .config import ConfigError, load_config
-from .sandbox import oracle_run, rmse_vs_oracle, run_sampler, sample_initial_latent, trajectory_to_csv
+from .sandbox import (
+    SWEEP_AXES,
+    oracle_run,
+    rmse_vs_oracle,
+    run_sampler,
+    sample_initial_latent,
+    sweep_report,
+    trajectory_to_csv,
+)
 from .schedule import ScheduleParams, adaptive_schedule
 
 BOUND_SUITES = ("taylor", "chebyshev", "spectrum", "all")

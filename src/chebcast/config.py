@@ -1,13 +1,18 @@
 """Experiment configuration: a strict JSON schema that round-trips losslessly.
 
-Unknown keys are rejected with the offending key named and its dotted path,
-so a typo like "lamda" fails loudly instead of silently using a default.
+The schema is derived from the dataclass fields: every init field is a key
+(renamed through _RENAME), fields without a default are required, and a
+value is coerced by its field's annotation.  Denoiser specs and channels are
+tagged unions, selected by their "kind" and "type" keys.  Unknown keys are
+rejected with the offending key named and its dotted path, so a typo like
+"lamda" fails loudly instead of silently using a default; every invalid value
+is a ConfigError naming its key or section.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -29,180 +34,121 @@ class ConfigError(ValueError):
     """Invalid or unparseable experiment configuration."""
 
 
-def _require(section: dict, path: str, keys: set, required: set) -> None:
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in {path}")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"missing key {key!r} in {path}")
-
-
-_CHANNEL_KEYS = {
-    "polynomial": ({"type", "coefficients"}, {"coefficients"}),
-    "sine": ({"type", "amplitude", "frequency", "phase"}, set()),
-    "exponential": ({"type", "scale", "rate"}, set()),
-}
-
-
-def _parse_channel(raw: dict, path: str):
-    if "type" not in raw:
-        raise ConfigError(f"missing key 'type' in {path}")
-    kind = raw["type"]
-    if kind not in _CHANNEL_KEYS:
-        raise ConfigError(f"unknown channel type {kind!r} in {path}")
-    keys, required = _CHANNEL_KEYS[kind]
-    _require(raw, path, keys, required)
-    if kind == "polynomial":
-        return PolynomialChannel(coefficients=tuple(float(c) for c in raw["coefficients"]))
-    if kind == "sine":
-        return SineChannel(
-            amplitude=float(raw.get("amplitude", 1.0)),
-            frequency=float(raw.get("frequency", 1.0)),
-            phase=float(raw.get("phase", 0.0)),
-        )
-    return ExponentialChannel(scale=float(raw.get("scale", 1.0)), rate=float(raw.get("rate", 1.0)))
-
-
-def parse_denoiser(raw: dict, path: str = "spec") -> DenoiserSpec:
-    if "kind" not in raw:
-        raise ConfigError(f"missing key 'kind' in {path}")
-    kind = raw["kind"]
-    if kind == "gaussian_mixture_flow":
-        _require(raw, path, {"kind", "weights", "means", "variances", "seed"},
-                 {"weights", "means", "variances"})
-        return GaussianMixtureFlow(
-            weights=tuple(float(w) for w in raw["weights"]),
-            means=np.asarray(raw["means"], dtype=float),
-            variances=np.asarray(raw["variances"], dtype=float),
-            seed=int(raw.get("seed", 0)),
-        )
-    if kind == "function_family":
-        _require(raw, path, {"kind", "channels", "seed"}, {"channels"})
-        channels = tuple(
-            _parse_channel(ch, f"{path}.channels[{i}]") for i, ch in enumerate(raw["channels"])
-        )
-        return FunctionFamily(channels=channels, seed=int(raw.get("seed", 0)))
-    if kind == "block_stack":
-        _require(raw, path, {"kind", "n_blocks", "width", "gain", "mixing", "seed"}, set())
-        return BlockStack(
-            n_blocks=int(raw.get("n_blocks", 4)),
-            width=int(raw.get("width", 32)),
-            gain=float(raw.get("gain", 0.5)),
-            mixing=raw.get("mixing", "rotation"),
-            seed=int(raw.get("seed", 0)),
-        )
-    raise ConfigError(f"unknown denoiser kind {kind!r} in {path}")
-
-
-def denoiser_to_dict(spec: DenoiserSpec) -> dict:
-    if isinstance(spec, GaussianMixtureFlow):
-        return {
-            "kind": spec.kind,
-            "weights": list(spec.weights),
-            "means": spec.means.tolist(),
-            "variances": spec.variances.tolist(),
-            "seed": spec.seed,
-        }
-    if isinstance(spec, FunctionFamily):
-        chans = []
-        for ch in spec.channels:
-            if isinstance(ch, PolynomialChannel):
-                chans.append({"type": "polynomial", "coefficients": list(ch.coefficients)})
-            elif isinstance(ch, SineChannel):
-                chans.append({"type": "sine", "amplitude": ch.amplitude,
-                              "frequency": ch.frequency, "phase": ch.phase})
-            elif isinstance(ch, ExponentialChannel):
-                chans.append({"type": "exponential", "scale": ch.scale, "rate": ch.rate})
-            else:
-                raise ConfigError(f"channel {ch!r} has no serialized form")
-        return {"kind": spec.kind, "channels": chans, "seed": spec.seed}
-    if isinstance(spec, BlockStack):
-        return {"kind": spec.kind, "n_blocks": spec.n_blocks, "width": spec.width,
-                "gain": spec.gain, "mixing": spec.mixing, "seed": spec.seed}
-    raise ConfigError(f"denoiser {spec!r} has no serialized form")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: DenoiserSpec
     schedule: ScheduleParams
     forecaster: ForecasterChoice
     seeds: tuple[int, ...]
-    output_dir: str
-    checkpoints: tuple[int, ...]
+    output_dir: str = "chebcast_out"
+    checkpoints: tuple[int, ...] | None = None  # None: the final step only
+
+    def __post_init__(self):
+        n = self.schedule.n_steps
+        if self.checkpoints is None:
+            object.__setattr__(self, "checkpoints", (n,))
+        if not self.seeds:
+            raise ValueError("seeds must be a non-empty list")
+        for step in self.checkpoints:
+            if not 1 <= step <= n:
+                raise ValueError(f"checkpoints must lie in [1, {n}], got {step}")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(schedule=adaptive_schedule(self.schedule), forecaster=self.forecaster)
 
     def to_dict(self) -> dict:
-        fc = self.forecaster
-        return {
-            "spec": denoiser_to_dict(self.spec),
-            "schedule": {
-                "n_steps": self.schedule.n_steps,
-                "interval": self.schedule.interval,
-                "warmup": self.schedule.warmup,
-                "alpha": self.schedule.alpha,
-            },
-            "forecaster": {
-                "kind": fc.kind,
-                "order": fc.order,
-                "degree": fc.degree,
-                "lambda": fc.lam,
-                "window": fc.window,
-                "cache_scope": fc.cache_scope,
-            },
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "checkpoints": list(self.checkpoints),
-        }
+        return _dump(self)
+
+
+_RENAME = {"lam": "lambda"}
+_DENOISERS = {cls.kind: cls for cls in (GaussianMixtureFlow, FunctionFamily, BlockStack)}
+_CHANNELS = {"polynomial": PolynomialChannel, "sine": SineChannel, "exponential": ExponentialChannel}
+# class -> (tag key, tag value), for writing the tag back out
+_TAGS = {cls: ("kind", tag) for tag, cls in _DENOISERS.items()}
+_TAGS.update({cls: ("type", tag) for tag, cls in _CHANNELS.items()})
+
+
+def _section(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    return raw
+
+
+def _parse_tagged(what: str, key: str, table: dict, raw, path: str):
+    """Build the class that table maps raw[key] to; what names the union in errors."""
+    raw = _section(raw, path)
+    if key not in raw:
+        raise ConfigError(f"missing key {key!r} in {path}")
+    tag = raw[key]
+    if not isinstance(tag, str) or tag not in table:
+        raise ConfigError(f"unknown {what} {key} {tag!r} in {path}")
+    return _parse(table[tag], {k: v for k, v in raw.items() if k != key}, path)
+
+
+# Annotation -> coercion of the raw JSON value; the path names the key in errors.
+_COERCE = {
+    "int": lambda v, _: int(v),
+    "float": lambda v, _: float(v),
+    "str": lambda v, _: str(v),
+    "int | None": lambda v, _: None if v is None else int(v),
+    "tuple[int, ...]": lambda v, _: tuple(int(x) for x in v),
+    "tuple[int, ...] | None": lambda v, _: None if v is None else tuple(int(x) for x in v),
+    "tuple[float, ...]": lambda v, _: tuple(float(x) for x in v),
+    "np.ndarray": lambda v, _: np.asarray(v, dtype=float),
+    "tuple[Channel, ...]": lambda v, path: tuple(
+        _parse_tagged("channel", "type", _CHANNELS, ch, f"{path}[{i}]") for i, ch in enumerate(v)
+    ),
+    "DenoiserSpec": lambda v, path: _parse_tagged("denoiser", "kind", _DENOISERS, v, path),
+    "ScheduleParams": lambda v, path: _parse(ScheduleParams, v, path),
+    "ForecasterChoice": lambda v, path: _parse(ForecasterChoice, v, path),
+}
+
+
+def _parse(cls, raw, path: str):
+    """Build cls from the JSON object raw, found at the dotted path."""
+    raw = _section(raw, path)
+    keyed = {_RENAME.get(f.name, f.name): f for f in fields(cls) if f.init}
+    for key in raw:
+        if key not in keyed:
+            raise ConfigError(f"unknown key {key!r} in {path}")
+    for key, f in keyed.items():
+        if key not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {key!r} in {path}")
+    kwargs = {}
+    for key, f in keyed.items():
+        if key in raw:
+            where = key if path == "config" else f"{path}.{key}"
+            try:
+                kwargs[f.name] = _COERCE[f.type](raw[key], where)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"invalid value for {where}: {err}") from err
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"invalid {path}: {err}") from err
+
+
+def _dump(obj):
+    """JSON-ready form of a config value: the inverse of _parse."""
+    if is_dataclass(obj):
+        out = {_RENAME.get(f.name, f.name): _dump(getattr(obj, f.name)) for f in fields(obj) if f.init}
+        if type(obj) in _TAGS:
+            key, tag = _TAGS[type(obj)]
+            out[key] = tag
+        return out
+    if isinstance(obj, tuple):
+        return [_dump(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    raise ConfigError(f"{obj!r} has no serialized form")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    _require(raw, "config", {"spec", "schedule", "forecaster", "seeds", "output_dir", "checkpoints"},
-             {"spec", "schedule", "forecaster", "seeds"})
-    spec = parse_denoiser(raw["spec"])
-
-    sched_raw = raw["schedule"]
-    _require(sched_raw, "schedule", {"n_steps", "interval", "warmup", "alpha"}, set())
-    try:
-        schedule = ScheduleParams(
-            n_steps=int(sched_raw.get("n_steps", 50)),
-            interval=int(sched_raw.get("interval", 1)),
-            warmup=int(sched_raw.get("warmup", 1)),
-            alpha=float(sched_raw.get("alpha", 0.0)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid schedule: {err}") from err
-
-    fc_raw = raw["forecaster"]
-    _require(fc_raw, "forecaster",
-             {"kind", "order", "degree", "lambda", "window", "cache_scope"}, {"kind"})
-    try:
-        forecaster = ForecasterChoice(
-            kind=fc_raw["kind"],
-            order=int(fc_raw.get("order", 1)),
-            degree=int(fc_raw.get("degree", 4)),
-            lam=float(fc_raw.get("lambda", 0.1)),
-            window=None if fc_raw.get("window") is None else int(fc_raw["window"]),
-            cache_scope=fc_raw.get("cache_scope", "last_block"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid forecaster: {err}") from err
-
-    seeds = tuple(int(s) for s in raw["seeds"])
-    if not seeds:
-        raise ConfigError("seeds must be a non-empty list in config")
-    checkpoints = tuple(int(c) for c in raw.get("checkpoints", [schedule.n_steps]))
-    return ExperimentConfig(
-        spec=spec,
-        schedule=schedule,
-        forecaster=forecaster,
-        seeds=seeds,
-        output_dir=str(raw.get("output_dir", "chebcast_out")),
-        checkpoints=checkpoints,
-    )
+    return _parse(ExperimentConfig, raw, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

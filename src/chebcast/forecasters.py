@@ -1,11 +1,11 @@
-"""Feature cache and the three forecasters: naive reuse, Taylor, spectral.
+"""Feature cache and the forecasters: naive reuse (Taylor order 0), Taylor, spectral.
 
 A forecaster turns the cache of (timestep, feature vector) pairs recorded at
-actual denoiser passes into a prediction at a future timestep.  Naive reuse
-copies the newest entry; the Taylor forecaster extrapolates a local
-polynomial built from divided differences of the most recent entries; the
-spectral forecaster fits global Chebyshev coefficients by ridge regression
-and evaluates the fitted series.
+actual denoiser passes into a prediction at a future timestep.  The Taylor
+forecaster extrapolates a local polynomial built from divided differences of
+the most recent entries; at order 0 it is naive reuse, a copy of the newest
+entry.  The spectral forecaster fits global Chebyshev coefficients by ridge
+regression and evaluates the fitted series.
 """
 
 from __future__ import annotations
@@ -200,24 +200,8 @@ def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
     return row @ state.coeffs.coeffs
 
 
-class NaiveForecaster:
-    """Reuse-latest forecaster behind the common observe/predict contract."""
-
-    name = "naive"
-
-    def __init__(self, window: int | None = None):
-        self.cache = FeatureCache(capacity=window)
-        self.fit_count = 0
-
-    def observe(self, t: float, h) -> None:
-        self.cache.insert(t, h)
-
-    def predict(self, t: float) -> np.ndarray:
-        return naive_forecast(self.cache, t)
-
-
 class TaylorForecaster:
-    """Local divided-difference extrapolation of configurable order."""
+    """Local divided-difference extrapolation of configurable order; order 0 is naive reuse."""
 
     name = "taylor"
 
@@ -232,6 +216,8 @@ class TaylorForecaster:
         self.cache.insert(t, h)
 
     def predict(self, t: float) -> np.ndarray:
+        if self.order == 0:  # as taylor_forecast does, minus the checks __init__ already made
+            return naive_forecast(self.cache, t)
         return taylor_forecast(self.cache, t, self.order)
 
 

@@ -23,14 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forecasters import (
-    NaiveForecaster,
-    SpectralConfig,
-    SpectralForecaster,
-    TaylorForecaster,
-)
+from .forecasters import FeatureCache, SpectralConfig, SpectralForecaster, TaylorForecaster
 from .ridge import RidgeFitError
-from .schedule import ActivationSchedule, uniform_schedule
+from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
 CACHE_SCOPES = ("last_block", "per_block")
@@ -135,11 +130,14 @@ class ExponentialChannel:
         return self.scale * np.exp(self.rate * t)
 
 
+Channel = PolynomialChannel | SineChannel | ExponentialChannel
+
+
 @dataclass(frozen=True)
 class FunctionFamily:
     """Feature channels are analytic functions of t; the state is ignored."""
 
-    channels: tuple
+    channels: tuple[Channel, ...]
     seed: int = 0
 
     kind = "function_family"
@@ -269,7 +267,7 @@ def euler_step(x: np.ndarray, eps: np.ndarray, t_from: float, t_to: float) -> np
 class ForecasterChoice:
     """Which forecaster replaces skipped passes, plus its hyperparameters."""
 
-    kind: str = "spectrum"
+    kind: str
     order: int = 1
     degree: int = 4
     lam: float = 0.1
@@ -285,6 +283,8 @@ class ForecasterChoice:
             raise ValueError("per-block caching is only implemented for the spectral forecaster")
         if self.order < 0:
             raise ValueError(f"taylor order must be >= 0, got {self.order}")
+        SpectralConfig(degree=self.degree, lam=self.lam)  # rejects degree < 0 and lam < 0
+        FeatureCache(capacity=self.window)  # rejects window < 1
 
 
 @dataclass(frozen=True)
@@ -320,8 +320,8 @@ class TrajectoryRecord:
 
 
 def _make_forecaster(choice: ForecasterChoice):
-    if choice.kind == "naive":
-        return NaiveForecaster(window=choice.window)
+    if choice.kind == "naive":  # naive reuse is Taylor order 0
+        return TaylorForecaster(order=0, window=choice.window)
     if choice.kind == "taylor":
         return TaylorForecaster(order=choice.order, window=choice.window)
     if choice.kind == "spectrum":
@@ -482,3 +482,64 @@ def benchmark_mixture() -> GaussianMixtureFlow:
     means = rng.normal(0.0, 2.0, size=(3, 8))
     variances = np.exp(rng.uniform(np.log(0.02), np.log(3.0), size=(3, 8)))
     return GaussianMixtureFlow(weights=(0.5, 0.3, 0.2), means=means, variances=variances, seed=1)
+
+
+SWEEP_AXES = ("lambda", "degree", "alpha")
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    axis_value: float
+    mean_rmse: float
+    nfe: int
+    wall_seconds: float
+
+
+def _benchmark_schedule(alpha: float, n_steps: int) -> ActivationSchedule:
+    """NFE-matched schedules: alpha > 0 adaptive, alpha = 0 uniform interval 8."""
+    if alpha == 0.0:
+        return uniform_schedule(n_steps, 8, 5)
+    return adaptive_schedule(ScheduleParams(n_steps=n_steps, interval=2, warmup=5, alpha=alpha))
+
+
+def sweep_report(axis: str, values, n_steps: int = 50, seeds=BENCHMARK_SEEDS, spec=None) -> list[SweepRow]:
+    """Run the mixture benchmark across one hyperparameter axis.
+
+    axis "lambda" and "degree" vary the spectral forecaster on the adaptive
+    alpha=3.0 schedule; axis "alpha" varies the schedule itself at matched
+    NFE.  Each row reports the across-seed mean of the final-state RMSE
+    against the per-seed oracle run.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    if spec is None:
+        spec = benchmark_mixture()
+    oracles = {
+        seed: oracle_run(spec, n_steps, sample_initial_latent(spec.dim, seed)) for seed in seeds
+    }
+    rows = []
+    for value in values:
+        started = time.perf_counter()
+        if axis == "lambda":
+            schedule = _benchmark_schedule(3.0, n_steps)
+            choice = ForecasterChoice(kind="spectrum", lam=float(value))
+        elif axis == "degree":
+            schedule = _benchmark_schedule(3.0, n_steps)
+            choice = ForecasterChoice(kind="spectrum", degree=int(value))
+        else:
+            schedule = _benchmark_schedule(float(value), n_steps)
+            choice = ForecasterChoice(kind="spectrum")
+        config = SolverConfig(schedule=schedule, forecaster=choice)
+        finals = []
+        for seed in seeds:
+            run = run_sampler(spec, config, sample_initial_latent(spec.dim, seed))
+            finals.append(rmse_vs_oracle(run, oracles[seed], [n_steps])[0])
+        rows.append(
+            SweepRow(
+                axis_value=float(value),
+                mean_rmse=float(np.mean(finals)),
+                nfe=schedule.nfe,
+                wall_seconds=time.perf_counter() - started,
+            )
+        )
+    return rows

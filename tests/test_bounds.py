@@ -1,6 +1,8 @@
 """Tests for the bound evaluators and their numerical verification."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,3 +114,21 @@ def test_polynomial_channel_trivial_containment():
     rep = verify_spectral_bound(poly, EllipseBound(2.0, 12.0), GAPS, degree=4, lam=0.0)
     assert max(rep.errors) <= 1e-9
     assert rep.contained
+
+
+def test_bounds_module_is_pure_math():
+    """bounds imports no sampler: nothing from sandbox or schedule.
+
+    Read from the source, since importing chebcast loads every module.
+    """
+    import chebcast.bounds
+
+    tree = ast.parse(Path(chebcast.bounds.__file__).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            local.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            local.update(n.split(".", 1)[1] for n in names if n.startswith("chebcast."))
+    assert local == {"basis", "forecasters", "ridge"}

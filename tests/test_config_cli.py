@@ -1,10 +1,14 @@
 """Tests for strict config parsing and the command-line harness."""
 
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebcast.config import (
     ConfigError,
@@ -13,8 +17,19 @@ from chebcast.config import (
     load_config,
     parse_config,
 )
-from chebcast.sandbox import ForecasterChoice, benchmark_mixture
+from chebcast.sandbox import (
+    BENCHMARK_SEEDS,
+    BlockStack,
+    ExponentialChannel,
+    ForecasterChoice,
+    FunctionFamily,
+    PolynomialChannel,
+    SineChannel,
+    benchmark_mixture,
+)
 from chebcast.schedule import ScheduleParams
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, env=None):
@@ -235,3 +250,157 @@ def test_cli_bounds_all_passes(tmp_path):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert set(report["suites"]) == {"taylor", "chebyshev", "spectrum"}
+
+
+# --- invalid values --------------------------------------------------------
+
+
+def gate9_config(output_dir="chebcast_out"):
+    return ExperimentConfig(
+        spec=benchmark_mixture(),
+        schedule=ScheduleParams(50, 2, 5, 3.0),
+        forecaster=ForecasterChoice(kind="spectrum"),
+        seeds=BENCHMARK_SEEDS[:2],
+        output_dir=output_dir,
+        checkpoints=(10, 50),
+    )
+
+
+# (section, key, value, text the error must contain); section None is the root.
+INVALID = {
+    "negative degree": ("forecaster", "degree", -1, "forecaster"),
+    "negative lambda": ("forecaster", "lambda", -0.5, "forecaster"),
+    "zero window": ("forecaster", "window", 0, "forecaster"),
+    "zero width": (None, "spec", {"kind": "block_stack", "width": 0}, "spec"),
+    "weights off 1": ("spec", "weights", [0.5, 0.3, 0.3], "spec"),
+    "non-integer seed": (None, "seeds", ["x"], "seeds"),
+    "schedule not an object": (None, "schedule", [], "schedule"),
+    "checkpoint past the end": (None, "checkpoints", [99], "checkpoints"),
+}
+
+
+def invalid_raw(case):
+    section, key, value, _ = INVALID[case]
+    raw = gate9_config().to_dict()
+    (raw[section] if section else raw)[key] = copy.deepcopy(value)
+    return raw
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_invalid_value_is_config_error(case):
+    with pytest.raises(ConfigError, match=INVALID[case][3]):
+        parse_config(invalid_raw(case))
+
+
+def test_cli_simulate_invalid_value_exit_code(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(invalid_raw("checkpoint past the end")))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert "checkpoints" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# --- serialized schema -----------------------------------------------------
+
+GOLDEN = {
+    "gate9_config.json": gate9_config,
+    "blockstack_config.json": lambda: ExperimentConfig(
+        spec=BlockStack(n_blocks=3, width=6, gain=0.4, mixing="identity", seed=5),
+        schedule=ScheduleParams(40, 3, 4, 1.5),
+        forecaster=ForecasterChoice(kind="spectrum", degree=3, lam=0.01, window=8, cache_scope="per_block"),
+        seeds=(1, 2),
+        output_dir="chebcast_out",
+        checkpoints=(10, 40),
+    ),
+    "function_family_config.json": lambda: ExperimentConfig(
+        spec=FunctionFamily(
+            channels=(
+                PolynomialChannel((1.0, -0.5, 0.25)),
+                SineChannel(2.0, 1.5, 0.2),
+                ExponentialChannel(0.5, -1.0),
+            ),
+            seed=3,
+        ),
+        schedule=ScheduleParams(20, 4, 3, 0.0),
+        forecaster=ForecasterChoice(kind="taylor", order=2),
+        seeds=(3,),
+        output_dir="chebcast_out",
+        checkpoints=(20,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_dump_config_matches_golden_file(tmp_path, name):
+    """The files under tests/data pin the serialized schema byte for byte."""
+    dump_config(GOLDEN[name](), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+    assert load_config(str(DATA / name)).to_dict() == GOLDEN[name]().to_dict()
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+unit_floats = st.floats(0.0, 1e3, allow_nan=False)
+seeds_st = st.integers(0, 2**32 - 1)
+channels = st.one_of(
+    st.builds(PolynomialChannel, st.lists(finite, min_size=1, max_size=5).map(tuple)),
+    st.builds(SineChannel, finite, finite, finite),
+    st.builds(ExponentialChannel, finite, finite),
+)
+specs = st.one_of(
+    st.builds(
+        BlockStack,
+        n_blocks=st.integers(1, 3),
+        width=st.integers(1, 5),
+        gain=unit_floats,
+        mixing=st.sampled_from(["rotation", "identity"]),
+        seed=seeds_st,
+    ),
+    st.builds(FunctionFamily, channels=st.lists(channels, min_size=1, max_size=4).map(tuple), seed=seeds_st),
+)
+
+
+@st.composite
+def schedules(draw):
+    n_steps = draw(st.integers(1, 200))
+    return ScheduleParams(
+        n_steps=n_steps,
+        interval=draw(st.integers(1, 20)),
+        warmup=draw(st.integers(1, n_steps)),
+        alpha=draw(st.floats(0.0, 10.0)),
+    )
+
+
+@st.composite
+def forecasters(draw):
+    kind = draw(st.sampled_from(["oracle", "naive", "taylor", "spectrum"]))
+    scopes = ["last_block", "per_block"] if kind == "spectrum" else ["last_block"]
+    return ForecasterChoice(
+        kind=kind,
+        order=draw(st.integers(0, 5)),
+        degree=draw(st.integers(0, 12)),
+        lam=draw(unit_floats),
+        window=draw(st.none() | st.integers(1, 50)),
+        cache_scope=draw(st.sampled_from(scopes)),
+    )
+
+
+@st.composite
+def configs(draw):
+    schedule = draw(schedules())
+    steps = st.integers(1, schedule.n_steps)
+    return ExperimentConfig(
+        spec=draw(specs),
+        schedule=schedule,
+        forecaster=draw(forecasters()),
+        seeds=tuple(draw(st.lists(seeds_st, min_size=1, max_size=3))),
+        output_dir=draw(st.text("abc/_-", min_size=1, max_size=8)),
+        checkpoints=draw(st.none() | st.lists(steps, max_size=4).map(tuple)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=configs())
+def test_config_round_trip_property(config):
+    assert parse_config(config.to_dict()).to_dict() == config.to_dict()
