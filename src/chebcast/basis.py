@@ -19,13 +19,6 @@ import numpy as np
 TAU_SLACK = 1e-12
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not np.isfinite(tau) or abs(tau) > 1.0 + TAU_SLACK:
-        raise ValueError(f"projected time must lie in [-1, 1], got {tau}")
-    return min(1.0, max(-1.0, tau))
-
-
 def _check_degree(m: int) -> int:
     m = int(m)
     if m < 0:
@@ -36,7 +29,7 @@ def _check_degree(m: int) -> int:
 def project_time(t: float) -> float:
     """Map a diffusion timestep t in [0, 1] to tau = 2t - 1 in [-1, 1]."""
     t = float(t)
-    if not np.isfinite(t) or t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:  # NaN compares false
         raise ValueError(f"timestep must lie in [0, 1], got {t}")
     return 2.0 * t - 1.0
 
@@ -48,8 +41,14 @@ def eval_cheb(m: int, tau: float) -> float:
 
 def basis_row(degree: int, tau: float) -> np.ndarray:
     """Row vector [T_0(tau), ..., T_degree(tau)], length degree + 1."""
-    degree = _check_degree(degree)
-    tau = _check_tau(tau)
+    tau = float(tau)
+    if not abs(tau) <= 1.0 + TAU_SLACK:  # NaN compares false, so it is outside
+        raise ValueError(f"projected time must lie in [-1, 1], got {tau}")
+    return recurrence_row(_check_degree(degree), min(1.0, max(-1.0, tau)))
+
+
+def recurrence_row(degree: int, tau: float) -> np.ndarray:
+    """basis_row without its checks, for an int degree >= 0 and a float tau in [-1, 1]."""
     row = [1.0, tau]
     for _ in range(2, degree + 1):
         row.append(2.0 * tau * row[-1] - row[-2])

@@ -52,6 +52,14 @@ class ExperimentConfig:
         for step in self.checkpoints:
             if not 1 <= step <= n:
                 raise ValueError(f"checkpoints must lie in [1, {n}], got {step}")
+        choice, forecasts = self.forecaster, adaptive_schedule(self.schedule).forecast_indices
+        # the cache only grows (up to the window), so the first forecast reads the fewest entries
+        depth = min(forecasts[0] - 1, choice.window or n) if forecasts else float("inf")
+        if choice.kind == "taylor" and depth < choice.order + 1:
+            raise ValueError(
+                f"taylor order {choice.order} needs {choice.order + 1} cached entries, but the "
+                f"cache holds {depth} at the first forecast step {forecasts[0]}"
+            )
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(schedule=adaptive_schedule(self.schedule), forecaster=self.forecaster)

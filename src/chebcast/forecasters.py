@@ -11,11 +11,12 @@ regression and evaluates the fitted series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .basis import basis_matrix, basis_row, project_time
-from .ridge import DEFAULT_LAMBDA, CoefficientMatrix, DesignMatrix, solve_ridge
+from .basis import basis_matrix, basis_row, project_time, recurrence_row
+from .ridge import DEFAULT_LAMBDA, CoefficientMatrix, RidgeFactor, fold_rows, solve_leading
 
 DEFAULT_DEGREE = 4
 
@@ -151,15 +152,20 @@ class SpectralConfig:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Fitted coefficients carried between sampler steps.
+    """A fit carried between sampler steps: the QR factor of every cached entry.
 
-    coeffs.factor is the QR state of the fit, which the next fit to the same
-    cache extends instead of refactoring every cached entry.
+    The next fit to the same cache folds its new entries into factor.  The
+    coefficients of the given degree are solved the first time they are
+    read, so passes with no forecast between them never solve.
     """
 
-    coeffs: CoefficientMatrix
+    factor: RidgeFactor
+    degree: int
     fitted_at: float
-    n_points: int
+
+    @cached_property
+    def coeffs(self) -> CoefficientMatrix:
+        return CoefficientMatrix(solve_leading(self.factor, self.degree + 1), self.factor)
 
 
 def spectral_fit(
@@ -171,39 +177,34 @@ def spectral_fit(
     be folded into its factor; after a window eviction, or without prior, the
     whole cache is fitted.  At lambda = 0 an exact solve needs degree+1
     points, so a shorter cache is fitted at degree len(cache)-1 (the
-    interpolant); with lambda > 0 the full degree is always solvable.
+    interpolant); with lambda > 0 the full degree is always solvable.  The
+    solve itself waits until the state's coeffs are first read.
     """
     n = len(cache)
-    if n == 0:
-        raise ValueError("cannot fit spectral coefficients on an empty cache")
-    new = n
-    if prior is not None and prior.coeffs.factor is not None and 0 < prior.n_points < n:
-        # Entries are only appended or evicted from the front, so the prior
-        # fit covers the oldest prior.n_points entries iff the last of them
-        # is still the one it was fitted at.
-        if cache.times(n - prior.n_points + 1)[0] == prior.fitted_at:
-            new = n - prior.n_points
-    factor = prior.coeffs.factor if new < n else None
-    times = cache.times(new)
-    taus = 2.0 * times - 1.0  # project_time, vectorized; basis_matrix checks the range
-    phi = DesignMatrix(rows=basis_matrix(config.degree, taus), cached_taus=taus)
+    new, factor = n, None
+    if prior is not None and 0 < prior.factor.n_points < n:
+        # Entries are only appended or evicted from the front, so the prior fit
+        # covers the oldest of its n_points entries iff the newest is still at fitted_at.
+        if cache.times(n - prior.factor.n_points + 1)[0] == prior.fitted_at:
+            new, factor = n - prior.factor.n_points, prior.factor
+    t, h = cache.latest()  # raises on an empty cache
+    if new == 1:  # the streaming case: one row, no stacking
+        rows, H = basis_row(config.degree, 2.0 * t - 1.0)[None], h[None]
+    else:  # project_time, vectorized; basis_matrix checks the range
+        rows, H = basis_matrix(config.degree, 2.0 * cache.times(new) - 1.0), cache.feature_stack(new)
+    if factor is None:
+        factor = RidgeFactor.empty(float(config.lam), config.degree + 1, H.shape[1])
     degree = config.degree if config.lam > 0.0 else min(config.degree, n - 1)
-    coeffs = solve_ridge(phi, cache.feature_stack(new), config.lam, prior=factor, degree=degree)
-    return SpectralState(coeffs=coeffs, fitted_at=float(times[-1]), n_points=n)
+    return SpectralState(factor=fold_rows(factor, rows, H), degree=degree, fitted_at=t)
 
 
 def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
     """Evaluate the fitted series at timestep t: phi(2t-1) @ C."""
-    if state is None:
-        raise ValueError("spectral forecaster has no fitted state")
-    row = basis_row(state.coeffs.degree, project_time(t))
-    return row @ state.coeffs.coeffs
+    return recurrence_row(state.degree, project_time(t)) @ state.coeffs.coeffs
 
 
 class TaylorForecaster:
     """Local divided-difference extrapolation of configurable order; order 0 is naive reuse."""
-
-    name = "taylor"
 
     def __init__(self, order: int = 1, window: int | None = None):
         if order < 0:
@@ -222,15 +223,13 @@ class TaylorForecaster:
 
 
 class SpectralForecaster:
-    """Global Chebyshev ridge forecaster; refits after every observation.
+    """Global Chebyshev ridge forecaster.
 
-    Each refit folds the new entry into the previous fit's QR factor, so an
-    observation costs the same however deep the cache is.  At lambda = 0 the
-    fit degree is capped at len(cache)-1 until the cache is deep enough (see
-    spectral_fit).
+    Each observation folds its row into the previous fit's QR factor, so it
+    costs the same however deep the cache is; the coefficients are solved at
+    the first forecast that reads them.  At lambda = 0 the fit degree is
+    capped at len(cache)-1 until the cache is deep enough (see spectral_fit).
     """
-
-    name = "spectral"
 
     def __init__(self, config: SpectralConfig | None = None, window: int | None = None):
         self.config = config if config is not None else SpectralConfig()

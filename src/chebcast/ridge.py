@@ -35,7 +35,6 @@ class DesignMatrix:
     """K x (M+1) stack of Chebyshev basis rows at strictly increasing taus."""
 
     rows: np.ndarray
-    cached_taus: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -60,6 +59,11 @@ class RidgeFactor:
     lam: float
     n_points: int
 
+    @classmethod
+    def empty(cls, lam: float, n_coef: int, n_channels: int) -> RidgeFactor:
+        """The factor of the prior rows sqrt(lam) I alone, with zero features."""
+        return cls(math.sqrt(lam) * np.eye(n_coef), np.zeros((n_coef, n_channels)), lam, 0)
+
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
@@ -71,10 +75,6 @@ class CoefficientMatrix:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
-
-    @property
-    def n_channels(self) -> int:
-        return self.coeffs.shape[1]
 
 
 def build_design(cached_taus, degree: int) -> DesignMatrix:
@@ -88,7 +88,7 @@ def build_design(cached_taus, degree: int) -> DesignMatrix:
         raise ValueError("cached taus must be a non-empty 1-D sequence")
     if (taus[1:] <= taus[:-1]).any():
         raise ValueError("cached taus must be strictly increasing")
-    return DesignMatrix(rows=basis_matrix(degree, taus), cached_taus=taus)
+    return DesignMatrix(rows=basis_matrix(degree, taus))
 
 
 def _as_feature_matrix(values, n_points: int) -> np.ndarray:
@@ -102,18 +102,19 @@ def _as_feature_matrix(values, n_points: int) -> np.ndarray:
     return H
 
 
-def _fold(r: np.ndarray, qth: np.ndarray, rows: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R and Q^T H after appending rows | H to the problem that r | qth factor.
+def fold_rows(factor: RidgeFactor, rows: np.ndarray, H: np.ndarray) -> RidgeFactor:
+    """The factor after appending the design rows | features H to its problem.
 
-    One Householder QR of the small (M+1+K) x (M+1) stack [r; rows]; its
-    orthonormal Q^T then maps [qth; H] to the new Q^T H in one product, so
+    One Householder QR of the small (M+1+K) x (M+1) stack [R; rows]; its
+    orthonormal Q^T then maps [Q^T H; H] to the new Q^T H in one product, so
     the cost in the channel count F is a single (M+1) x (M+1+K) x F matmul.
     """
-    q, r = np.linalg.qr(np.concatenate([r, rows]))
-    return r, q.T @ np.concatenate([qth, H])
+    q, r = np.linalg.qr(np.concatenate([factor.r, rows]))
+    qth = q.T @ np.concatenate([factor.qth, H])
+    return RidgeFactor(r, qth, factor.lam, factor.n_points + rows.shape[0])
 
 
-def _solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
+def solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
     """Back substitution on the leading n_coef x n_coef block of R.
 
     QR of the first columns of a matrix is the leading block of its R, so
@@ -165,17 +166,14 @@ def solve_ridge(
     if not 0 <= degree <= phi.degree:
         raise ValueError(f"solve degree must lie in [0, {phi.degree}], got {degree}")
     if prior is None:
-        r, qth, n_points = math.sqrt(lam) * np.eye(n_coef), np.zeros((n_coef, H.shape[1])), 0
-    else:
-        if prior.lam != lam or prior.qth.shape != (n_coef, H.shape[1]):
-            raise ValueError(
-                f"prior factor (lambda={prior.lam}, shape {prior.qth.shape}) does not match "
-                f"lambda={lam} with {n_coef} coefficients and {H.shape[1]} channels"
-            )
-        r, qth, n_points = prior.r, prior.qth, prior.n_points
-    r, qth = _fold(r, qth, phi.rows, H)
-    factor = RidgeFactor(r=r, qth=qth, lam=lam, n_points=n_points + phi.n_points)
-    return CoefficientMatrix(coeffs=_solve_leading(factor, degree + 1), factor=factor)
+        prior = RidgeFactor.empty(lam, n_coef, H.shape[1])
+    elif prior.lam != lam or prior.qth.shape != (n_coef, H.shape[1]):
+        raise ValueError(
+            f"prior factor (lambda={prior.lam}, shape {prior.qth.shape}) does not match "
+            f"lambda={lam} with {n_coef} coefficients and {H.shape[1]} channels"
+        )
+    factor = fold_rows(prior, phi.rows, H)
+    return CoefficientMatrix(coeffs=solve_leading(factor, degree + 1), factor=factor)
 
 
 def min_singular(phi: DesignMatrix) -> float:

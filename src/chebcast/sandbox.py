@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forecasters import FeatureCache, SpectralConfig, SpectralForecaster, TaylorForecaster
-from .ridge import RidgeFitError
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -320,14 +319,11 @@ class TrajectoryRecord:
 
 
 def _make_forecaster(choice: ForecasterChoice):
-    if choice.kind == "naive":  # naive reuse is Taylor order 0
-        return TaylorForecaster(order=0, window=choice.window)
-    if choice.kind == "taylor":
-        return TaylorForecaster(order=choice.order, window=choice.window)
+    if choice.kind in ("naive", "taylor"):
+        order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
+        return TaylorForecaster(order=order, window=choice.window)
     if choice.kind == "spectrum":
-        return SpectralForecaster(
-            SpectralConfig(degree=choice.degree, lam=choice.lam), window=choice.window
-        )
+        return SpectralForecaster(SpectralConfig(choice.degree, choice.lam), window=choice.window)
     return None
 
 
@@ -392,7 +388,7 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             if forecaster is not None:
                 try:
                     forecaster.observe(t, observed)
-                except (ValueError, RidgeFitError) as err:
+                except ValueError as err:  # a bad feature or time; the fit is solved at predict
                     raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
             flags.append("actual")
         else:

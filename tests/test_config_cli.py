@@ -1,6 +1,7 @@
 """Tests for strict config parsing and the command-line harness."""
 
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -24,10 +25,14 @@ from chebcast.sandbox import (
     ForecasterChoice,
     FunctionFamily,
     PolynomialChannel,
+    SamplerError,
     SineChannel,
+    SolverConfig,
     benchmark_mixture,
+    run_sampler,
+    sample_initial_latent,
 )
-from chebcast.schedule import ScheduleParams
+from chebcast.schedule import ScheduleParams, adaptive_schedule
 
 DATA = Path(__file__).parent / "data"
 
@@ -292,6 +297,69 @@ def test_invalid_value_is_config_error(case):
         parse_config(invalid_raw(case))
 
 
+def taylor_raw(schedule, order, window=None):
+    raw = GOLDEN["function_family_config.json"]().to_dict()
+    raw["schedule"].update(schedule)
+    raw["forecaster"].update(order=order, window=window)
+    raw["checkpoints"] = None  # the final step, wherever it is
+    return raw
+
+
+# Step 1 is a full pass, so the cache holds warmup entries at the first
+# forecast, or window entries once the window is the smaller.
+TAYLOR_TOO_DEEP = {
+    "warm-up": ({"n_steps": 20, "interval": 4, "warmup": 2}, 2, None, "holds 2 at the first forecast step 3"),
+    "window": ({"n_steps": 20, "interval": 4, "warmup": 5}, 2, 2, "holds 2 at the first forecast step 6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAYLOR_TOO_DEEP))
+def test_taylor_order_the_cache_cannot_serve_is_config_error(case):
+    schedule, order, window, message = TAYLOR_TOO_DEEP[case]
+    with pytest.raises(ConfigError, match=f"taylor order 2 needs 3 cached entries, but the cache {message}"):
+        parse_config(taylor_raw(schedule, order, window))
+    # one entry deeper, or one order lower, is served
+    parse_config(taylor_raw(schedule, order - 1, window))
+    deeper = {**schedule, "warmup": schedule["warmup"] + 1}
+    parse_config(taylor_raw(deeper, order, None if window is None else window + 1))
+
+
+def test_cli_simulate_taylor_order_too_deep_exit_code(tmp_path):
+    schedule, order, window, _ = TAYLOR_TOO_DEEP["warm-up"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(taylor_raw(schedule, order, window)))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert "taylor order 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_steps=st.integers(1, 24),
+    interval=st.integers(1, 6),
+    warmup=st.integers(1, 24),
+    order=st.integers(0, 5),
+    window=st.none() | st.integers(1, 8),
+)
+def test_taylor_config_parses_iff_the_run_serves_every_forecast(n_steps, interval, warmup, order, window):
+    schedule = {"n_steps": n_steps, "interval": interval, "warmup": min(warmup, n_steps)}
+    try:
+        config = parse_config(taylor_raw(schedule, order, window))
+    except ConfigError:
+        config = None
+    choice = ForecasterChoice(kind="taylor", order=order, window=window)
+    solver = SolverConfig(schedule=adaptive_schedule(ScheduleParams(**schedule)), forecaster=choice)
+    spec = GOLDEN["function_family_config.json"]().spec
+    try:
+        run_sampler(spec, solver, sample_initial_latent(spec.dim, 3))
+    except SamplerError:
+        assert config is None
+    else:
+        assert config is not None
+
+
 def test_cli_simulate_invalid_value_exit_code(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(invalid_raw("checkpoint past the end")))
@@ -390,10 +458,15 @@ def forecasters(draw):
 def configs(draw):
     schedule = draw(schedules())
     steps = st.integers(1, schedule.n_steps)
+    forecaster = draw(forecasters())
+    forecasts = adaptive_schedule(schedule).forecast_indices
+    if forecaster.kind == "taylor" and forecasts:  # an order the cache can serve
+        depth = min(forecasts[0] - 1, forecaster.window or schedule.n_steps)
+        forecaster = dataclasses.replace(forecaster, order=draw(st.integers(0, depth - 1)))
     return ExperimentConfig(
         spec=draw(specs),
         schedule=schedule,
-        forecaster=draw(forecasters()),
+        forecaster=forecaster,
         seeds=tuple(draw(st.lists(seeds_st, min_size=1, max_size=3))),
         output_dir=draw(st.text("abc/_-", min_size=1, max_size=8)),
         checkpoints=draw(st.none() | st.lists(steps, max_size=4).map(tuple)),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chebcast import (
     EllipseBound,
     FeatureCache,
+    RidgeFitError,
     SpectralConfig,
     basis_row,
     min_singular,
@@ -289,19 +290,71 @@ def test_fit_with_prior_equals_batch_fit(degree, lam, window, n_points, n_prior,
 def test_observe_folds_in_only_the_new_entry(monkeypatch):
     import chebcast.forecasters as forecasters
 
-    rows = []
-    real = forecasters.solve_ridge
+    rows, solves = [], []
+    real_fold, real_solve = forecasters.fold_rows, forecasters.solve_leading
 
-    def counting(phi, *args, **kwargs):
-        rows.append(phi.n_points)
-        return real(phi, *args, **kwargs)
+    def counting_fold(factor, new_rows, H):
+        rows.append(new_rows.shape[0])
+        return real_fold(factor, new_rows, H)
 
-    monkeypatch.setattr(forecasters, "solve_ridge", counting)
+    def counting_solve(factor, n_coef):
+        solves.append(factor.n_points)
+        return real_solve(factor, n_coef)
+
+    monkeypatch.setattr(forecasters, "fold_rows", counting_fold)
+    monkeypatch.setattr(forecasters, "solve_leading", counting_solve)
     fc = SpectralForecaster(window=3)
     for t in (0.0, 0.1, 0.2, 0.3, 0.4):
         fc.observe(t, [t, 1.0])
     # the window refits all of itself once an eviction has dropped a fitted row
     assert rows == [1, 1, 1, 3, 3]
+    assert solves == []  # observe only folds
+    first = fc.predict(0.5)
+    assert solves == [3]  # the first forecast after an observe solves once
+    assert np.array_equal(fc.predict(0.6), spectral_forecast(fc.state, 0.6))
+    assert solves == [3]  # and every later one reuses that solve
+    fc.observe(0.5, [0.5, 1.0])
+    assert solves == [3]
+    assert not np.array_equal(fc.predict(0.5), first)
+    assert solves == [3, 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 1e-3, 0.1]),
+    window=st.one_of(st.none(), st.integers(1, 8)),
+    steps=st.lists(st.booleans(), min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lazy_folded_forecaster_equals_batch_fit(degree, lam, window, steps, seed):
+    """Any interleaving of observe (True) and predict (False) forecasts as a batch fit does."""
+    rng = np.random.default_rng(seed)
+    config = SpectralConfig(degree=degree, lam=lam)
+    fc = SpectralForecaster(config, window=window)
+    n_channels = int(rng.integers(1, 4))
+    n_obs = max(1, sum(steps))
+    # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
+    times = iter((np.arange(n_obs) + rng.uniform(0.1, 0.9, n_obs)) / n_obs)
+    for observe in steps:
+        if observe:
+            fc.observe(next(times), rng.normal(size=n_channels))
+        elif fc.state is not None:
+            t = float(rng.uniform(0.0, 1.0))
+            batch = spectral_fit(fc.cache, config)
+            # |forecast| <= sum_m |C_m| on [-1, 1], the scale round-off is relative to
+            scale = np.maximum(1.0, np.abs(batch.coeffs.coeffs).sum(axis=0))
+            np.testing.assert_array_less(np.abs(fc.predict(t) - spectral_forecast(batch, t)), 1e-12 * scale)
+
+
+def test_rank_deficient_fit_fails_at_the_forecast_that_reads_it():
+    # degree 8 at lambda=0 on 12 times within 0.0011 of each other: cond(Phi)
+    # is far past 1/eps, so the rank check on diag(R) refuses the solve
+    fc = SpectralForecaster(SpectralConfig(degree=8, lam=0.0))
+    for k in range(12):
+        fc.observe(k * 1e-4, [np.sin(k * 1e-4), 1.0])
+    with pytest.raises(RidgeFitError, match="rank-deficient"):
+        fc.predict(0.5)
 
 
 def test_non_finite_feature_rejected_at_insert():

@@ -94,7 +94,7 @@ def test_short_cache_without_ridge_fails_deterministically():
 
 def test_rank_deficient_design_without_ridge_fails():
     # three rows, but the second basis column is identically zero
-    phi = DesignMatrix(rows=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), cached_taus=np.zeros(3))
+    phi = DesignMatrix(rows=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     with pytest.raises(RidgeFitError, match="rank-deficient"):
         solve_ridge(phi, np.ones((3, 1)), 0.0)
     assert np.all(np.isfinite(solve_ridge(phi, np.ones((3, 1)), 0.1).coeffs))
@@ -156,12 +156,12 @@ def test_shape_mismatch_rejected():
 
 
 def test_min_singular_identity():
-    phi = DesignMatrix(rows=np.eye(2), cached_taus=np.array([-0.5, 0.5]))
+    phi = DesignMatrix(rows=np.eye(2))
     assert min_singular(phi) == pytest.approx(1.0)
 
 
 def test_min_singular_rank_deficient():
-    phi = DesignMatrix(rows=np.array([[1.0, 0.0], [0.0, 0.0]]), cached_taus=np.array([-0.5, 0.5]))
+    phi = DesignMatrix(rows=np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert min_singular(phi) == pytest.approx(0.0, abs=1e-12)
 
 

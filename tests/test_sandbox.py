@@ -203,6 +203,17 @@ def test_forecaster_error_carries_step_index():
         run_sampler(spec, config, np.zeros(2))
 
 
+def test_rank_deficient_fit_fails_at_the_forecast_step():
+    # 10,000 steps of 1e-4 and 12 warm-up passes: degree 8 at lambda=0 on
+    # times within 0.0011 of each other, which the rank check refuses.  The
+    # passes only fold their rows in, so the first forecast, step 13, fails.
+    spec = FunctionFamily(channels=(PolynomialChannel((0.5, -1.0, 2.0)),))
+    schedule = adaptive_schedule(ScheduleParams(n_steps=10_000, interval=5_000, warmup=12))
+    config = SolverConfig(schedule, ForecasterChoice(kind="spectrum", degree=8, lam=0.0))
+    with pytest.raises(SamplerError, match=r"forecast failed at step 13 \(t=0.0012\).*rank-deficient"):
+        run_sampler(spec, config, np.zeros(1))
+
+
 class _NanAfter(BlockStack):
     """Block stack whose output turns NaN from t = 0.3 on."""
 
