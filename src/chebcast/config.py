@@ -53,6 +53,8 @@ class ExperimentConfig:
             if not 1 <= step <= n:
                 raise ValueError(f"checkpoints must lie in [1, {n}], got {step}")
         choice, forecasts = self.forecaster, adaptive_schedule(self.schedule).forecast_indices
+        if choice.cache_scope == "per_block" and not isinstance(self.spec, BlockStack):
+            raise ValueError("per-block caching requires a block_stack denoiser")
         # the cache only grows (up to the window), so the first forecast reads the fewest entries
         depth = min(forecasts[0] - 1, choice.window or n) if forecasts else float("inf")
         if choice.kind == "taylor" and depth < choice.order + 1:

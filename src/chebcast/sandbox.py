@@ -10,7 +10,9 @@ Three denoiser families act as ground-truth oracles at desk scale:
   independent of the state; useful for exactness and bound checks.
 * block_stack -- a stack of smooth residual blocks (fixed random rotation
   plus a tanh nonlinearity) over a polynomial base feature, for comparing
-  last-block against per-block caching.
+  last-block against per-block caching.  Per-block caching forecasts the
+  summed block residuals h - base(t) and adds back the base, which needs no
+  network pass.
 
 In every family the score fed to the solver is the last-block feature
 itself, and one sampler run is strictly sequential.
@@ -304,8 +306,9 @@ class TrajectoryRecord:
     states: np.ndarray      # (N, D) state after each step
     features: np.ndarray    # (N, F) feature used at each step
     flags: tuple[str, ...]  # "actual" | "forecast"
-    # Coefficient fits: one per actual pass, or with per-block caching one
-    # per block per pass, all blocks fitted through one shared ridge factor.
+    # Coefficient fits: one per actual pass.  Per-block caching counts
+    # n_blocks per pass: its one fit of h - base(t) equals the sum of the
+    # n_blocks per-block residual fits, since all share one design and lambda.
     fit_count: int
     wall_time: float
 
@@ -332,12 +335,6 @@ def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def _per_block_pass(spec: BlockStack, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One actual pass for per-block caching: (output h, block residuals y_b - y_(b-1))."""
-    stages = spec.stage_outputs(t)
-    return stages[-1], np.diff(stages, axis=0)
-
-
 def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> TrajectoryRecord:
     """Iterate the schedule over t in [0, 1), forecasting on skipped steps.
 
@@ -348,11 +345,11 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     schedule and is the reference trajectory for RMSE comparisons.
 
     Last-block caching observes the output feature h.  Per-block caching
-    (block_stack only) observes every block's residual y_b - y_(b-1), stacked
-    into one spectral forecaster: each block keeps its own coefficient
-    columns, all fitted through one shared ridge factor.  The base feature
-    needs no network pass, so a skipped step reconstructs h as base(t) plus
-    the sum of the per-block residual forecasts.
+    (block_stack only) observes h - base(t) and forecasts base(t) plus that
+    residual: ridge coefficients are linear in the targets and every block
+    shares one design and lambda, so one fit to the summed block residuals
+    y_B - y_0 equals the sum of the per-block fits, and the base feature
+    needs no network pass.
     """
     started = time.perf_counter()
     schedule = config.schedule
@@ -365,17 +362,11 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     choice = config.forecaster
     forecaster = _make_forecaster(choice)
     full_pass = schedule.full_pass_set if choice.kind != "oracle" else frozenset(range(1, n + 1))
-    # The score is h itself, so evaluate_denoiser's (h, eps) is also (h, observed).
-    actual_pass, n_blocks = evaluate_denoiser, 1
-    predict = getattr(forecaster, "predict", None)
+    base, n_blocks = None, 1
     if choice.cache_scope == "per_block":
         if not isinstance(spec, BlockStack):
             raise ValueError("per-block caching requires a block_stack denoiser")
-        actual_pass, n_blocks = _per_block_pass, spec.n_blocks
-
-        def predict(t: float) -> np.ndarray:
-            residuals = forecaster.predict(t).reshape(n_blocks, -1)
-            return spec.base_feature(t) + residuals.sum(axis=0)
+        base, n_blocks = spec.base_feature, spec.n_blocks
 
     times = np.empty(n)
     states = np.empty((n, spec.dim))
@@ -384,16 +375,16 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     for j in range(1, n + 1):
         t = (j - 1) * dt
         if j in full_pass:
-            h, observed = actual_pass(spec, x, t)
+            h, _ = evaluate_denoiser(spec, x, t)  # the score eps is h itself
             if forecaster is not None:
                 try:
-                    forecaster.observe(t, observed)
+                    forecaster.observe(t, h if base is None else h - base(t))
                 except ValueError as err:  # a bad feature or time; the fit is solved at predict
                     raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
             flags.append("actual")
         else:
             try:
-                h = predict(t)
+                h = forecaster.predict(t) if base is None else base(t) + forecaster.predict(t)
             except Exception as err:
                 raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
             flags.append("forecast")

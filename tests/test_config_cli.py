@@ -229,6 +229,19 @@ def test_cli_sweep_writes_deterministic_csv(tmp_path):
         assert int(nfe) == 10
 
 
+@pytest.mark.parametrize("name", ["gate9", "function_family"])
+def test_simulate_outputs_match_golden_files(tmp_path, monkeypatch, name):
+    """simulate writes the CSVs and summary under tests/data/golden byte for byte."""
+    from chebcast import cli
+
+    monkeypatch.setenv("CHEBCAST_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["simulate", str(DATA / f"{name}_config.json")]) == 0
+    golden = sorted((DATA / "golden" / name).iterdir())
+    assert golden
+    for path in golden:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/config.json")
@@ -281,6 +294,7 @@ INVALID = {
     "non-integer seed": (None, "seeds", ["x"], "seeds"),
     "schedule not an object": (None, "schedule", [], "schedule"),
     "checkpoint past the end": (None, "checkpoints", [99], "checkpoints"),
+    "per-block without a block stack": ("forecaster", "cache_scope", "per_block", "block_stack"),
 }
 
 
@@ -441,9 +455,9 @@ def schedules(draw):
 
 
 @st.composite
-def forecasters(draw):
+def forecasters(draw, block_stack):
     kind = draw(st.sampled_from(["oracle", "naive", "taylor", "spectrum"]))
-    scopes = ["last_block", "per_block"] if kind == "spectrum" else ["last_block"]
+    scopes = ["last_block", "per_block"] if kind == "spectrum" and block_stack else ["last_block"]
     return ForecasterChoice(
         kind=kind,
         order=draw(st.integers(0, 5)),
@@ -458,13 +472,14 @@ def forecasters(draw):
 def configs(draw):
     schedule = draw(schedules())
     steps = st.integers(1, schedule.n_steps)
-    forecaster = draw(forecasters())
+    spec = draw(specs)
+    forecaster = draw(forecasters(isinstance(spec, BlockStack)))
     forecasts = adaptive_schedule(schedule).forecast_indices
     if forecaster.kind == "taylor" and forecasts:  # an order the cache can serve
         depth = min(forecasts[0] - 1, forecaster.window or schedule.n_steps)
         forecaster = dataclasses.replace(forecaster, order=draw(st.integers(0, depth - 1)))
     return ExperimentConfig(
-        spec=draw(specs),
+        spec=spec,
         schedule=schedule,
         forecaster=forecaster,
         seeds=tuple(draw(st.lists(seeds_st, min_size=1, max_size=3))),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebcast import (
@@ -41,14 +41,22 @@ def test_insert_and_len():
     assert cache.feature_dim == 2
 
 
-def test_window_eviction():
-    cache = FeatureCache(capacity=2)
-    cache.insert(0.0, [1.0])
-    cache.insert(0.1, [2.0])
-    cache.insert(0.2, [3.0])
-    assert len(cache) == 2
-    np.testing.assert_allclose(cache.times(), [0.1, 0.2])
-    assert naive_forecast(cache, 0.3)[0] == 3.0
+@settings(max_examples=100, deadline=None)
+@given(
+    capacity=st.integers(1, 10),
+    times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=25, unique=True).map(sorted),
+)
+@example(capacity=2, times=[0.0, 0.1, 0.2])
+def test_window_eviction(capacity, times):
+    cache = FeatureCache(capacity=capacity)
+    for i, t in enumerate(times):
+        cache.insert(t, [i + 1.0])
+    kept = min(capacity, len(times))
+    assert len(cache) == kept
+    np.testing.assert_array_equal(cache.times(), times[-kept:])
+    np.testing.assert_array_equal(cache.feature_stack()[:, 0], np.arange(1, len(times) + 1)[-kept:])
+    assert cache.latest()[0] == times[-1]
+    assert cache.latest()[1][0] == naive_forecast(cache, 1.0)[0] == len(times)
 
 
 def test_non_monotone_insert_rejected():

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chebcast import (
     BlockStack,
@@ -11,6 +13,7 @@ from chebcast import (
     FunctionFamily,
     GaussianMixtureFlow,
     PolynomialChannel,
+    RidgeFitError,
     SamplerError,
     SolverConfig,
     euler_step,
@@ -260,7 +263,8 @@ def test_rmse_constant_offset():
 
 def test_last_block_caching_close_to_per_block_with_fewer_fits():
     # Frozen factor 1.2 confirmed by runs over several stack seeds; per-block
-    # does exactly n_blocks refits per actual pass versus one.
+    # counts n_blocks fits per actual pass, the per-block fits its one
+    # residual fit stands for, versus one.
     schedule = uniform_schedule(50, 8, 5)
     for stack_seed in (0, 1, 2):
         spec = BlockStack(n_blocks=4, width=32, gain=2.5, seed=stack_seed)
@@ -305,34 +309,61 @@ def per_block_reference(spec, config, x0):
     return np.array(states), np.array(features), sum(fc.fit_count for fc in per_block)
 
 
-def assert_relative_close(actual, expected, rtol):
-    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize(
-    "schedule, choice",
-    [
-        # default spectral settings
-        (uniform_schedule(50, 4, 3), ForecasterChoice(kind="spectrum", cache_scope="per_block")),
-        # a window of 5 evicted from the 6th of 13 passes on
-        (uniform_schedule(50, 4, 1), ForecasterChoice(kind="spectrum", window=5, cache_scope="per_block")),
-        # lambda = 0: the forecasts at steps 2-3, ..., 11-12 fit fewer than degree + 1 points
-        (
-            uniform_schedule(40, 3, 1),
-            ForecasterChoice(kind="spectrum", degree=4, lam=0.0, cache_scope="per_block"),
-        ),
-    ],
-    ids=["default", "window-evicted", "lambda0-degree-cap"],
+@settings(max_examples=100, deadline=None)
+@given(
+    n_blocks=st.integers(1, 4),
+    width=st.integers(1, 12),
+    gain=st.floats(0.0, 2.5),
+    mixing=st.sampled_from(["rotation", "identity"]),
+    degree=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 1e-3, 0.1]),
+    window=st.none() | st.integers(1, 8),
+    n_steps=st.integers(2, 60),
+    interval=st.integers(1, 6),
+    warmup=st.integers(1, 6),
 )
-def test_stacked_per_block_matches_independent_forecasters(schedule, choice):
-    spec = BlockStack(n_blocks=3, width=16, gain=1.5, seed=4)
+# default spectral settings
+@example(3, 16, 1.5, "rotation", 4, 0.1, None, 50, 4, 3)
+# a window of 5 evicted from the 6th of 13 passes on
+@example(3, 16, 1.5, "rotation", 4, 0.1, 5, 50, 4, 1)
+# lambda = 0: the forecasts at steps 2-3, ..., 11-12 fit fewer than degree + 1 points
+@example(3, 16, 1.5, "rotation", 4, 0.0, None, 40, 3, 1)
+def test_per_block_matches_independent_forecasters(
+    n_blocks, width, gain, mixing, degree, lam, window, n_steps, interval, warmup
+):
+    spec = BlockStack(n_blocks=n_blocks, width=width, gain=gain, mixing=mixing, seed=4)
+    choice = ForecasterChoice(kind="spectrum", degree=degree, lam=lam, window=window, cache_scope="per_block")
+    config = SolverConfig(uniform_schedule(n_steps, interval, min(warmup, n_steps)), choice)
     x0 = sample_initial_latent(spec.dim, 8)
-    run = run_sampler(spec, SolverConfig(schedule, choice), x0)
-    states, features, fit_count = per_block_reference(spec, SolverConfig(schedule, choice), x0)
-    assert_relative_close(run.features, features, 1e-12)
-    assert_relative_close(run.states, states, 1e-12)
-    assert run.fit_count == fit_count == spec.n_blocks * schedule.nfe
+    try:
+        states, features, fit_count = per_block_reference(spec, config, x0)
+    except (ValueError, RidgeFitError):
+        with pytest.raises(SamplerError):
+            run_sampler(spec, config, x0)
+        return
+    run = run_sampler(spec, config, x0)
+    scale = 1e-12 * max(1.0, np.max(np.abs(features)))
+    assert np.max(np.abs(run.features - features)) <= scale
+    assert np.max(np.abs(run.states - states)) <= scale
+    assert run.fit_count == fit_count == spec.n_blocks * config.schedule.nfe
+
+
+def test_per_block_fits_only_the_output_width(monkeypatch):
+    import chebcast.forecasters as forecasters
+
+    widths = []
+    real_fold = forecasters.fold_rows
+
+    def recording_fold(factor, rows, H):
+        widths.append(H.shape[1])
+        return real_fold(factor, rows, H)
+
+    monkeypatch.setattr(forecasters, "fold_rows", recording_fold)
+    spec = BlockStack(n_blocks=3, width=5, seed=1)
+    choice = ForecasterChoice(kind="spectrum", window=4, cache_scope="per_block")
+    run = run_sampler(spec, SolverConfig(uniform_schedule(30, 3, 2), choice), sample_initial_latent(spec.dim, 0))
     assert "forecast" in run.flags
+    assert widths and set(widths) == {spec.width}
 
 
 class _NanOnce(BlockStack):

@@ -1,6 +1,8 @@
 """Tests for activation schedules and the published NFE table."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chebcast import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
@@ -84,13 +86,29 @@ def test_warmup_prefix_and_growing_gaps():
     assert all(g2 >= g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
-def test_partition_into_full_and_forecast():
-    schedule = adaptive_schedule(ScheduleParams(50, 2, 5, 3.0))
+@settings(max_examples=200, deadline=None)
+@given(
+    n_steps=st.integers(1, 200),
+    interval=st.integers(1, 20),
+    warmup=st.integers(1, 200),
+    alpha=st.floats(0.0, 10.0),
+    d_alpha=st.floats(0.0, 5.0),
+)
+@example(n_steps=50, interval=2, warmup=5, alpha=3.0, d_alpha=0.0)
+def test_partition_into_full_and_forecast(n_steps, interval, warmup, alpha, d_alpha):
+    warmup = min(warmup, n_steps)
+
+    def nfe(n=n_steps, i=interval, a=alpha):
+        return adaptive_schedule(ScheduleParams(n, i, warmup, a)).nfe
+
+    schedule = adaptive_schedule(ScheduleParams(n_steps, interval, warmup, alpha))
     full = set(schedule.full_pass_indices)
     forecast = set(schedule.forecast_indices)
-    assert full | forecast == set(range(1, 51))
+    assert full | forecast == set(range(1, n_steps + 1))
     assert not full & forecast
     assert 1 in full
+    assert nfe(i=interval + 1) <= nfe() <= nfe(n=n_steps + 1)
+    assert nfe(a=alpha + d_alpha) <= nfe()
 
 
 def test_invalid_params_rejected():
