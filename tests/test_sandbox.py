@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebcast import (
@@ -309,6 +309,36 @@ def per_block_reference(spec, config, x0):
     return np.array(states), np.array(features), sum(fc.fit_count for fc in per_block)
 
 
+def assert_relative_close(actual, expected, rtol):
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "schedule, choice",
+    [
+        # default spectral settings
+        (uniform_schedule(50, 4, 3), ForecasterChoice(kind="spectrum", cache_scope="per_block")),
+        # a window of 5 evicted from the 6th of 13 passes on
+        (uniform_schedule(50, 4, 1), ForecasterChoice(kind="spectrum", window=5, cache_scope="per_block")),
+        # lambda = 0: the forecasts at steps 2-3, ..., 11-12 fit fewer than degree + 1 points
+        (
+            uniform_schedule(40, 3, 1),
+            ForecasterChoice(kind="spectrum", degree=4, lam=0.0, cache_scope="per_block"),
+        ),
+    ],
+    ids=["default", "window-evicted", "lambda0-degree-cap"],
+)
+def test_stacked_per_block_matches_independent_forecasters(schedule, choice):
+    spec = BlockStack(n_blocks=3, width=16, gain=1.5, seed=4)
+    x0 = sample_initial_latent(spec.dim, 8)
+    run = run_sampler(spec, SolverConfig(schedule, choice), x0)
+    states, features, fit_count = per_block_reference(spec, SolverConfig(schedule, choice), x0)
+    assert_relative_close(run.features, features, 1e-12)
+    assert_relative_close(run.states, states, 1e-12)
+    assert run.fit_count == fit_count == spec.n_blocks * schedule.nfe
+    assert "forecast" in run.flags
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n_blocks=st.integers(1, 4),
@@ -322,12 +352,6 @@ def per_block_reference(spec, config, x0):
     interval=st.integers(1, 6),
     warmup=st.integers(1, 6),
 )
-# default spectral settings
-@example(3, 16, 1.5, "rotation", 4, 0.1, None, 50, 4, 3)
-# a window of 5 evicted from the 6th of 13 passes on
-@example(3, 16, 1.5, "rotation", 4, 0.1, 5, 50, 4, 1)
-# lambda = 0: the forecasts at steps 2-3, ..., 11-12 fit fewer than degree + 1 points
-@example(3, 16, 1.5, "rotation", 4, 0.0, None, 40, 3, 1)
 def test_per_block_matches_independent_forecasters(
     n_blocks, width, gain, mixing, degree, lam, window, n_steps, interval, warmup
 ):
