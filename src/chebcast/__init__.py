@@ -27,8 +27,6 @@ from .forecasters import (
     taylor_forecast,
 )
 from .ridge import (
-    CoefficientMatrix,
-    DesignMatrix,
     RidgeFitError,
     build_design,
     min_singular,

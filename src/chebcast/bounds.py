@@ -74,9 +74,8 @@ def cheb_interpolant_values(f, degree: int, grid: np.ndarray) -> np.ndarray:
     """Values on `grid` of the degree-M interpolant of f at Chebyshev nodes."""
     k = np.arange(degree + 1)
     nodes = np.sort(np.cos((2 * k + 1) * np.pi / (2 * (degree + 1))))
-    phi = build_design(nodes, degree)
-    coeffs = solve_ridge(phi, np.asarray([f(tau) for tau in nodes])[:, None], 0.0)
-    return (build_design(grid, degree).rows @ coeffs.coeffs)[:, 0]
+    coeffs = solve_ridge(build_design(nodes, degree), np.asarray([f(tau) for tau in nodes])[:, None], 0.0)
+    return (build_design(grid, degree) @ coeffs)[:, 0]
 
 
 @dataclass(frozen=True)

@@ -95,14 +95,21 @@ def _parse_tagged(what: str, key: str, table: dict, raw, path: str):
     return _parse(table[tag], {k: v for k, v in raw.items() if k != key}, path)
 
 
+def _integer(v, path: str) -> int:
+    """v as an int; a bool or a number with a fractional part is an error, not truncated."""
+    if isinstance(v, bool) or not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
+        raise ConfigError(f"invalid value for {path}: expected an integer, got {v!r}")
+    return int(v)
+
+
 # Annotation -> coercion of the raw JSON value; the path names the key in errors.
 _COERCE = {
-    "int": lambda v, _: int(v),
+    "int": _integer,
     "float": lambda v, _: float(v),
     "str": lambda v, _: str(v),
-    "int | None": lambda v, _: None if v is None else int(v),
-    "tuple[int, ...]": lambda v, _: tuple(int(x) for x in v),
-    "tuple[int, ...] | None": lambda v, _: None if v is None else tuple(int(x) for x in v),
+    "int | None": lambda v, path: None if v is None else _integer(v, path),
+    "tuple[int, ...]": lambda v, path: tuple(_integer(x, path) for x in v),
+    "tuple[int, ...] | None": lambda v, path: None if v is None else tuple(_integer(x, path) for x in v),
     "tuple[float, ...]": lambda v, _: tuple(float(x) for x in v),
     "np.ndarray": lambda v, _: np.asarray(v, dtype=float),
     "tuple[Channel, ...]": lambda v, path: tuple(

@@ -10,13 +10,14 @@ regression and evaluates the fitted series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .basis import basis_matrix, basis_row, project_time, recurrence_row
-from .ridge import DEFAULT_LAMBDA, CoefficientMatrix, RidgeFactor, fold_rows, solve_leading
+from .ridge import DEFAULT_LAMBDA, RidgeFactor, fold_rows, solve_leading
 
 DEFAULT_DEGREE = 4
 
@@ -144,10 +145,16 @@ class SpectralConfig:
     lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        if int(self.degree) < 0:
-            raise ValueError(f"basis degree must be >= 0, got {self.degree}")
-        if float(self.lam) < 0.0:
-            raise ValueError(f"regularization strength must be >= 0, got {self.lam}")
+        degree, lam = self.degree, float(self.lam)
+        integral = isinstance(degree, (int, np.integer)) or (
+            isinstance(degree, float) and degree.is_integer()
+        )
+        if isinstance(degree, bool) or not integral or degree < 0:
+            raise ValueError(f"basis degree must be an integer >= 0, got {degree!r}")
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"regularization strength must be finite and >= 0, got {lam}")
+        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -164,8 +171,9 @@ class SpectralState:
     fitted_at: float
 
     @cached_property
-    def coeffs(self) -> CoefficientMatrix:
-        return CoefficientMatrix(solve_leading(self.factor, self.degree + 1), self.factor)
+    def coeffs(self) -> np.ndarray:
+        """The (degree+1) x F coefficient matrix."""
+        return solve_leading(self.factor, self.degree + 1)
 
 
 def spectral_fit(
@@ -193,14 +201,14 @@ def spectral_fit(
     else:  # project_time, vectorized; basis_matrix checks the range
         rows, H = basis_matrix(config.degree, 2.0 * cache.times(new) - 1.0), cache.feature_stack(new)
     if factor is None:
-        factor = RidgeFactor.empty(float(config.lam), config.degree + 1, H.shape[1])
+        factor = RidgeFactor.empty(config.lam, config.degree + 1, H.shape[1])
     degree = config.degree if config.lam > 0.0 else min(config.degree, n - 1)
     return SpectralState(factor=fold_rows(factor, rows, H), degree=degree, fitted_at=t)
 
 
 def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
     """Evaluate the fitted series at timestep t: phi(2t-1) @ C."""
-    return recurrence_row(state.degree, project_time(t)) @ state.coeffs.coeffs
+    return recurrence_row(state.degree, project_time(t)) @ state.coeffs
 
 
 class TaylorForecaster:

@@ -17,7 +17,7 @@ refactoring every row seen so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,21 +28,6 @@ DEFAULT_LAMBDA = 0.1
 
 class RidgeFitError(RuntimeError):
     """The ridge problem has no unique solution (rank-deficient design at lambda = 0)."""
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """K x (M+1) stack of Chebyshev basis rows at strictly increasing taus."""
-
-    rows: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def degree(self) -> int:
-        return self.rows.shape[1] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +50,8 @@ class RidgeFactor:
         return cls(math.sqrt(lam) * np.eye(n_coef), np.zeros((n_coef, n_channels)), lam, 0)
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """(M+1) x F fitted coefficients; factor is the QR state they were solved from."""
-
-    coeffs: np.ndarray
-    factor: RidgeFactor | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-
-def build_design(cached_taus, degree: int) -> DesignMatrix:
-    """Assemble the design matrix from projected cached timesteps.
+def build_design(cached_taus, degree: int) -> np.ndarray:
+    """The K x (M+1) design matrix: basis rows at the projected cached timesteps.
 
     The taus must be strictly increasing and inside [-1, 1]; duplicates would
     make interpolation fits singular for no good reason, so they are rejected.
@@ -88,7 +61,7 @@ def build_design(cached_taus, degree: int) -> DesignMatrix:
         raise ValueError("cached taus must be a non-empty 1-D sequence")
     if (taus[1:] <= taus[:-1]).any():
         raise ValueError("cached taus must be strictly increasing")
-    return DesignMatrix(rows=basis_matrix(degree, taus))
+    return basis_matrix(degree, taus)
 
 
 def _as_feature_matrix(values, n_points: int) -> np.ndarray:
@@ -138,62 +111,40 @@ def solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
     return coeffs
 
 
-def solve_ridge(
-    phi: DesignMatrix,
-    features,
-    lam: float = DEFAULT_LAMBDA,
-    prior: RidgeFactor | None = None,
-    degree: int | None = None,
-) -> CoefficientMatrix:
-    """Solve the ridge problem for the coefficient matrix by QR.
+def solve_ridge(phi: np.ndarray, features, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
+    """The (M+1) x F ridge coefficients for the K x (M+1) design phi, by QR.
 
-    Without prior the factor starts at R = sqrt(lam) I, Q^T H = 0 and every
-    row of phi is folded in.  With prior, the factor returned earlier for the
-    same lambda, degree and channel count, only the rows of phi are folded
-    in, and the result is the fit to the prior rows and these together.
-
-    degree (default: the design's) solves for the leading degree+1
-    coefficients only.  At lambda = 0 that needs at least degree+1 points in
-    general position; a short cache or a rank-deficient design is a
-    RidgeFitError, never a silent fallback.
+    Every row of phi is folded into the factor of the prior rows sqrt(lam) I
+    and the whole triangle is back-substituted.  At lambda = 0 that needs at
+    least M+1 points in general position; a short cache or a rank-deficient
+    design is a RidgeFitError, never a silent fallback.
     """
     lam = float(lam)
     if lam < 0.0:
         raise ValueError(f"regularization strength must be >= 0, got {lam}")
-    H = _as_feature_matrix(features, phi.n_points)
-    n_coef = phi.degree + 1
-    degree = phi.degree if degree is None else int(degree)
-    if not 0 <= degree <= phi.degree:
-        raise ValueError(f"solve degree must lie in [0, {phi.degree}], got {degree}")
-    if prior is None:
-        prior = RidgeFactor.empty(lam, n_coef, H.shape[1])
-    elif prior.lam != lam or prior.qth.shape != (n_coef, H.shape[1]):
-        raise ValueError(
-            f"prior factor (lambda={prior.lam}, shape {prior.qth.shape}) does not match "
-            f"lambda={lam} with {n_coef} coefficients and {H.shape[1]} channels"
-        )
-    factor = fold_rows(prior, phi.rows, H)
-    return CoefficientMatrix(coeffs=solve_leading(factor, degree + 1), factor=factor)
+    H = _as_feature_matrix(features, phi.shape[0])
+    n_coef = phi.shape[1]
+    return solve_leading(fold_rows(RidgeFactor.empty(lam, n_coef, H.shape[1]), phi, H), n_coef)
 
 
-def min_singular(phi: DesignMatrix) -> float:
+def min_singular(phi: np.ndarray) -> float:
     """Smallest singular value of the design matrix (0 with fewer rows than columns)."""
-    if phi.n_points < phi.degree + 1:
+    if phi.shape[0] < phi.shape[1]:
         return 0.0
-    return float(np.linalg.svd(phi.rows, compute_uv=False)[-1])
+    return float(np.linalg.svd(phi, compute_uv=False)[-1])
 
 
-def ridge_objective(phi: DesignMatrix, features, coeffs: CoefficientMatrix, lam: float) -> float:
+def ridge_objective(phi: np.ndarray, features, coeffs: np.ndarray, lam: float) -> float:
     """||Phi C - H||_F^2 + lambda * ||C||_F^2."""
     lam = float(lam)
     if lam < 0.0:
         raise ValueError(f"regularization strength must be >= 0, got {lam}")
-    H = _as_feature_matrix(features, phi.n_points)
-    C = coeffs.coeffs
-    if C.shape != (phi.degree + 1, H.shape[1]):
+    H = _as_feature_matrix(features, phi.shape[0])
+    C = np.asarray(coeffs, dtype=float)
+    if C.shape != (phi.shape[1], H.shape[1]):
         raise ValueError(
-            f"coefficient shape {C.shape} does not match design degree {phi.degree} "
+            f"coefficient shape {C.shape} does not match design degree {phi.shape[1] - 1} "
             f"and {H.shape[1]} channels"
         )
-    resid = phi.rows @ C - H
+    resid = phi @ C - H
     return float(np.sum(resid * resid) + lam * np.sum(C * C))

@@ -77,10 +77,6 @@ class GaussianMixtureFlow:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.dim
-
     def velocity(self, x: np.ndarray, t: float) -> np.ndarray:
         """Marginal flow velocity E[data - noise | x_t = x], in closed form.
 
@@ -152,10 +148,6 @@ class FunctionFamily:
     def dim(self) -> int:
         return len(self.channels)
 
-    @property
-    def feature_dim(self) -> int:
-        return len(self.channels)
-
     def features(self, t: float) -> np.ndarray:
         return np.asarray([ch(t) for ch in self.channels], dtype=float)
 
@@ -205,10 +197,6 @@ class BlockStack:
     def dim(self) -> int:
         return self.width
 
-    @property
-    def feature_dim(self) -> int:
-        return self.width
-
     def base_feature(self, t: float) -> np.ndarray:
         powers = np.array([1.0, t, t * t, t * t * t])
         return self._base_coeffs @ powers
@@ -230,11 +218,12 @@ class BlockStack:
 DenoiserSpec = GaussianMixtureFlow | FunctionFamily | BlockStack
 
 
-def evaluate_denoiser(spec: DenoiserSpec, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One actual pass: returns (feature vector h, score eps).
+def evaluate_denoiser(spec: DenoiserSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """One actual pass: the feature vector h.
 
     The score map on the last-block feature is the identity in every family,
-    so eps is h itself; for the mixture flow h is the closed-form velocity.
+    so h is also the score fed to the solver; for the mixture flow h is the
+    closed-form velocity.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"timestep must lie in [0, 1], got {t}")
@@ -245,7 +234,7 @@ def evaluate_denoiser(spec: DenoiserSpec, x: np.ndarray, t: float) -> tuple[np.n
         h = spec.velocity(x, t)
     else:
         h = spec.features(t)
-    return h, h
+    return h
 
 
 def euler_step(x: np.ndarray, eps: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
@@ -284,7 +273,7 @@ class ForecasterChoice:
             raise ValueError("per-block caching is only implemented for the spectral forecaster")
         if self.order < 0:
             raise ValueError(f"taylor order must be >= 0, got {self.order}")
-        SpectralConfig(degree=self.degree, lam=self.lam)  # rejects degree < 0 and lam < 0
+        SpectralConfig(degree=self.degree, lam=self.lam)  # rejects a bad degree or lambda
         FeatureCache(capacity=self.window)  # rejects window < 1
 
 
@@ -370,12 +359,12 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
 
     times = np.empty(n)
     states = np.empty((n, spec.dim))
-    features = np.empty((n, spec.feature_dim))
+    features = np.empty((n, spec.dim))
     flags = []
     for j in range(1, n + 1):
         t = (j - 1) * dt
         if j in full_pass:
-            h, _ = evaluate_denoiser(spec, x, t)  # the score eps is h itself
+            h = evaluate_denoiser(spec, x, t)  # the score is h itself
             if forecaster is not None:
                 try:
                     forecaster.observe(t, h if base is None else h - base(t))

@@ -224,8 +224,8 @@ def test_gate_8_ridge_matches_brute_force():
         phi = build_design(taus, degree)
         features = rng.normal(size=(k, f_dim))
         lam = float(rng.uniform(0.0, 2.0))
-        got = solve_ridge(phi, features, lam).coeffs
-        want = brute_ridge(phi.rows, features, lam)
+        got = solve_ridge(phi, features, lam)
+        want = brute_ridge(phi, features, lam)
         assert np.max(np.abs(got - want)) <= 1e-8
     report("8: PASS - 100 random instances match the elimination oracle to 1e-8")
 

@@ -1,6 +1,7 @@
 """Tests for the bound evaluators and their numerical verification."""
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -116,19 +117,24 @@ def test_polynomial_channel_trivial_containment():
     assert rep.contained
 
 
-def test_bounds_module_is_pure_math():
-    """bounds imports no sampler: nothing from sandbox or schedule.
+# Each fit layer imports only the layers below it, so the batch and streaming
+# fits stay in ridge and forecasters and bounds stays pure math: no sampler.
+LAYERS = {
+    "ridge": {"basis"},
+    "forecasters": {"basis", "ridge"},
+    "bounds": {"basis", "forecasters", "ridge"},
+}
 
-    Read from the source, since importing chebcast loads every module.
-    """
-    import chebcast.bounds
 
-    tree = ast.parse(Path(chebcast.bounds.__file__).read_text())
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_layer_imports_only_the_layers_below(module):
+    """Read from the source, since importing chebcast loads every module."""
+    source = Path(importlib.import_module(f"chebcast.{module}").__file__).read_text()
     local = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             local.add(node.module)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             local.update(n.split(".", 1)[1] for n in names if n.startswith("chebcast."))
-    assert local == {"basis", "forecasters", "ridge"}
+    assert local == LAYERS[module]

@@ -292,6 +292,13 @@ INVALID = {
     "zero width": (None, "spec", {"kind": "block_stack", "width": 0}, "spec"),
     "weights off 1": ("spec", "weights", [0.5, 0.3, 0.3], "spec"),
     "non-integer seed": (None, "seeds", ["x"], "seeds"),
+    "fractional seed": (None, "seeds", [1.5], "seeds: expected an integer, got 1.5"),
+    "boolean seed": (None, "seeds", [True], "seeds: expected an integer, got True"),
+    "fractional degree": ("forecaster", "degree", 4.5, "forecaster.degree: expected an integer"),
+    "fractional step count": ("schedule", "n_steps", 50.9, "schedule.n_steps: expected an integer"),
+    "infinite step count": ("schedule", "n_steps", float("inf"), "schedule.n_steps: expected an integer"),
+    "NaN lambda": ("forecaster", "lambda", float("nan"), "forecaster.*finite"),
+    "infinite lambda": ("forecaster", "lambda", float("inf"), "forecaster.*finite"),
     "schedule not an object": (None, "schedule", [], "schedule"),
     "checkpoint past the end": (None, "checkpoints", [99], "checkpoints"),
     "per-block without a block stack": ("forecaster", "cache_scope", "per_block", "block_stack"),
@@ -380,6 +387,16 @@ def test_cli_simulate_invalid_value_exit_code(tmp_path):
     proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
     assert proc.returncode == 2
     assert "checkpoints" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_nan_lambda_fails_at_parse(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(invalid_raw("NaN lambda")))  # json writes the bare token NaN
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert "regularization strength must be finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 

@@ -20,6 +20,7 @@ from chebcast import (
     taylor_forecast,
 )
 from chebcast.forecasters import SpectralForecaster
+from chebcast.sandbox import PolynomialChannel
 from chebcast.ridge import build_design
 
 from oracles import brute_ridge, taylor_uniform_prediction
@@ -166,6 +167,25 @@ def test_polynomial_exactness_all_degrees():
                 np.testing.assert_allclose(spectral_forecast(state, t_query), expected, atol=1e-9)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    degree=st.integers(0, 6),
+    poly_degree=st.integers(0, 6),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    t_query=st.floats(0.0, 1.0),
+)
+@example(degree=6, poly_degree=6, extra=0, seed=0, t_query=1.0)  # square, interpolating
+def test_lambda_zero_fit_reproduces_polynomial_channels(degree, poly_degree, extra, seed, t_query):
+    rng = np.random.default_rng(seed)
+    channel = PolynomialChannel(tuple(rng.normal(size=min(poly_degree, degree) + 1)))
+    n_points = degree + 1 + extra
+    # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
+    times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
+    state = spectral_fit(filled_cache([(t, [channel(t)]) for t in times]), SpectralConfig(degree, 0.0))
+    np.testing.assert_allclose(spectral_forecast(state, t_query), [channel(t_query)], rtol=0.0, atol=1e-9)
+
+
 def test_single_point_ridge_shrinkage():
     cache = filled_cache([(0.3, [2.0, -1.0])])
     state = spectral_fit(cache, SpectralConfig(degree=4, lam=0.1))
@@ -176,7 +196,32 @@ def test_single_point_ridge_shrinkage():
     assert np.linalg.norm(pred) < np.linalg.norm([2.0, -1.0])
     # cross-check against the brute-force normal-equation oracle
     brute = brute_ridge(row[None, :], np.array([[2.0, -1.0]]), 0.1)
-    np.testing.assert_allclose(state.coeffs.coeffs, brute, atol=1e-10)
+    np.testing.assert_allclose(state.coeffs, brute, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "degree, lam, message",
+    [
+        (4.5, 0.1, "basis degree"),
+        (True, 0.1, "basis degree"),
+        (-1, 0.1, "basis degree"),
+        (4, float("nan"), "finite"),
+        (4, float("inf"), "finite"),
+        (4, -0.1, "finite and >= 0"),
+    ],
+)
+def test_spectral_config_rejects_bad_degree_or_lambda(degree, lam, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralConfig(degree=degree, lam=lam)
+
+
+def test_spectral_config_takes_an_integral_float_degree():
+    config = SpectralConfig(degree=4.0, lam=1)
+    assert (type(config.degree), type(config.lam)) == (int, float)
+    fc = SpectralForecaster(config)
+    for t in (0.0, 0.1, 0.2):
+        fc.observe(t, [t])
+    assert fc.predict(0.3).shape == (1,)
 
 
 def test_fit_empty_cache_errors():
@@ -236,12 +281,12 @@ def test_long_horizon_contrast():
 def test_lambda_zero_warmup_caps_degree():
     fc = SpectralForecaster(SpectralConfig(degree=4, lam=0.0))
     fc.observe(0.0, [1.0])
-    assert fc.state.coeffs.degree == 0
+    assert fc.state.degree == 0
     fc.observe(0.1, [2.0])
-    assert fc.state.coeffs.degree == 1
+    assert fc.state.degree == 1
     for t in (0.2, 0.3, 0.4, 0.5):
         fc.observe(t, [1.0 + t])
-    assert fc.state.coeffs.degree == 4
+    assert fc.state.degree == 4
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -259,11 +304,11 @@ def test_streaming_fit_equals_batch_fit(lam, window):
         n_points = degree + 6
         for t in (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points:
             fc.observe(t, rng.normal(size=n_channels))
-            batch = spectral_fit(fc.cache, config).coeffs.coeffs
+            batch = spectral_fit(fc.cache, config).coeffs
             if lam == 0.0:
-                assert fc.state.coeffs.degree == min(degree, len(fc.cache) - 1)
+                assert fc.state.degree == min(degree, len(fc.cache) - 1)
             np.testing.assert_allclose(
-                fc.state.coeffs.coeffs, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max())
+                fc.state.coeffs, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max())
             )
 
 
@@ -290,8 +335,8 @@ def test_fit_with_prior_equals_batch_fit(degree, lam, window, n_points, n_prior,
             prior = spectral_fit(cache, config)
     # every entry after the prior's is folded into its factor at once, or,
     # when the window evicted a row the prior fitted, the window is refitted
-    folded = spectral_fit(cache, config, prior).coeffs.coeffs
-    batch = spectral_fit(cache, config).coeffs.coeffs
+    folded = spectral_fit(cache, config, prior).coeffs
+    batch = spectral_fit(cache, config).coeffs
     np.testing.assert_allclose(folded, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
 
 
@@ -351,7 +396,7 @@ def test_lazy_folded_forecaster_equals_batch_fit(degree, lam, window, steps, see
             t = float(rng.uniform(0.0, 1.0))
             batch = spectral_fit(fc.cache, config)
             # |forecast| <= sum_m |C_m| on [-1, 1], the scale round-off is relative to
-            scale = np.maximum(1.0, np.abs(batch.coeffs.coeffs).sum(axis=0))
+            scale = np.maximum(1.0, np.abs(batch.coeffs).sum(axis=0))
             np.testing.assert_array_less(np.abs(fc.predict(t) - spectral_forecast(batch, t)), 1e-12 * scale)
 
 

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chebcast import (
     RidgeFitError,
@@ -13,24 +15,24 @@ from chebcast import (
     ridge_objective,
     solve_ridge,
 )
-from chebcast.ridge import DesignMatrix
+from chebcast.ridge import RidgeFactor, fold_rows, solve_leading
 
 from oracles import brute_ridge, smallest_eig_bisect
 
 
 def test_design_rows_linear_basis():
     phi = build_design([-1.0, 0.0, 1.0], 1)
-    np.testing.assert_allclose(phi.rows, [[1, -1], [1, 0], [1, 1]])
+    np.testing.assert_allclose(phi, [[1, -1], [1, 0], [1, 1]])
 
 
 def test_design_single_point_degree_two():
     phi = build_design([0.0], 2)
-    np.testing.assert_allclose(phi.rows, [[1.0, 0.0, -1.0]])
+    np.testing.assert_allclose(phi, [[1.0, 0.0, -1.0]])
 
 
 def test_design_constant_basis():
     phi = build_design([-1.0, 1.0], 0)
-    np.testing.assert_allclose(phi.rows, [[1.0], [1.0]])
+    np.testing.assert_allclose(phi, [[1.0], [1.0]])
 
 
 def test_design_rejects_non_monotone():
@@ -48,7 +50,7 @@ def test_interpolation_case():
     phi = build_design(taus, 3)
     H = rng.normal(size=(4, 3))
     C = solve_ridge(phi, H, 0.0)
-    assert np.max(np.abs(phi.rows @ C.coeffs - H)) <= 1e-10
+    assert np.max(np.abs(phi @ C - H)) <= 1e-10
 
 
 def test_infinite_regularization_limit():
@@ -56,7 +58,7 @@ def test_infinite_regularization_limit():
     phi = build_design(np.sort(rng.uniform(-1, 1, 5)), 2)
     H = rng.normal(size=(5, 4))
     C = solve_ridge(phi, H, 1e12)
-    assert np.linalg.norm(C.coeffs) <= 1e-6 * np.linalg.norm(phi.rows.T @ H)
+    assert np.linalg.norm(C) <= 1e-6 * np.linalg.norm(phi.T @ H)
 
 
 def test_matches_brute_force_oracle():
@@ -64,7 +66,7 @@ def test_matches_brute_force_oracle():
     phi = build_design(np.sort(rng.uniform(-1, 1, 6)), 2)
     H = rng.normal(size=(6, 2))
     C = solve_ridge(phi, H, 0.1)
-    np.testing.assert_allclose(C.coeffs, brute_ridge(phi.rows, H, 0.1), atol=1e-8)
+    np.testing.assert_allclose(C, brute_ridge(phi, H, 0.1), atol=1e-8)
 
 
 def test_normal_equation_residual():
@@ -73,17 +75,36 @@ def test_normal_equation_residual():
     H = rng.normal(size=(9, 5))
     lam = 0.3
     C = solve_ridge(phi, H, lam)
-    normal = phi.rows.T @ phi.rows + lam * np.eye(5)
-    rhs = phi.rows.T @ H
-    resid = np.linalg.norm(normal @ C.coeffs - rhs) / np.linalg.norm(rhs)
+    normal = phi.T @ phi + lam * np.eye(5)
+    rhs = phi.T @ H
+    resid = np.linalg.norm(normal @ C - rhs) / np.linalg.norm(rhs)
     assert resid <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    degree=st.integers(0, 6),
+    n_channels=st.integers(1, 4),
+    lam=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(degree=6, n_channels=4, lam=0.0, extra=0, seed=0)  # square, interpolating
+def test_solve_matches_brute_force_property(degree, n_channels, lam, extra, seed):
+    rng = np.random.default_rng(seed)
+    n_points = degree + 1 + extra
+    # one tau per cell of a uniform grid keeps the lambda=0 design well conditioned
+    taus = 2.0 * (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points - 1.0
+    phi = build_design(taus, degree)
+    H = rng.normal(size=(n_points, n_channels))
+    np.testing.assert_allclose(solve_ridge(phi, H, lam), brute_ridge(phi, H, lam), rtol=0.0, atol=1e-8)
 
 
 def test_short_cache_with_ridge_is_fine():
     phi = build_design([-1.0, -0.9], 4)
     C = solve_ridge(phi, np.ones((2, 3)), 0.1)
-    assert C.coeffs.shape == (5, 3)
-    assert np.all(np.isfinite(C.coeffs))
+    assert C.shape == (5, 3)
+    assert np.all(np.isfinite(C))
 
 
 def test_short_cache_without_ridge_fails_deterministically():
@@ -94,18 +115,18 @@ def test_short_cache_without_ridge_fails_deterministically():
 
 def test_rank_deficient_design_without_ridge_fails():
     # three rows, but the second basis column is identically zero
-    phi = DesignMatrix(rows=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    phi = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(RidgeFitError, match="rank-deficient"):
         solve_ridge(phi, np.ones((3, 1)), 0.0)
-    assert np.all(np.isfinite(solve_ridge(phi, np.ones((3, 1)), 0.1).coeffs))
+    assert np.all(np.isfinite(solve_ridge(phi, np.ones((3, 1)), 0.1)))
 
 
 def test_clustered_degree_eight_fits_polynomial_data_to_round_off():
     # cond(Phi) ~ 3e12: the normal equations square it past 1/eps
     phi = build_design(np.linspace(-1.0, -0.8, 20), 8)
-    H = phi.rows @ np.random.default_rng(13).normal(size=(9, 3))
+    H = phi @ np.random.default_rng(13).normal(size=(9, 3))
     C = solve_ridge(phi, H, 0.0)
-    assert np.max(np.abs(phi.rows @ C.coeffs - H)) < 1e-12
+    assert np.max(np.abs(phi @ C - H)) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -116,12 +137,14 @@ def test_prior_factor_folds_rows_like_one_batch(lam):
         n_points = degree + 2 + int(rng.integers(0, 6))
         taus = 2.0 * (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points - 1.0
         H = rng.normal(size=(n_points, int(rng.integers(1, 5))))
-        batch = solve_ridge(build_design(taus, degree), H, lam).coeffs
+        batch = solve_ridge(build_design(taus, degree), H, lam)
         split = int(rng.integers(1, n_points))
-        head = solve_ridge(build_design(taus[:split], degree), H[:split], lam, degree=min(degree, split - 1))
-        tail = solve_ridge(build_design(taus[split:], degree), H[split:], lam, prior=head.factor)
-        assert tail.factor.n_points == n_points
-        np.testing.assert_allclose(tail.coeffs, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
+        empty = RidgeFactor.empty(lam, degree + 1, H.shape[1])
+        head = fold_rows(empty, build_design(taus[:split], degree), H[:split])
+        tail = fold_rows(head, build_design(taus[split:], degree), H[split:])
+        assert tail.n_points == n_points
+        folded = solve_leading(tail, degree + 1)
+        np.testing.assert_allclose(folded, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
 
 
 def test_leading_block_solve_is_the_lower_degree_fit():
@@ -129,18 +152,9 @@ def test_leading_block_solve_is_the_lower_degree_fit():
     taus = np.sort(rng.uniform(-1, 1, 9))
     H = rng.normal(size=(9, 2))
     for lam in (0.0, 0.1):
-        capped = solve_ridge(build_design(taus, 5), H, lam, degree=2)
+        factor = fold_rows(RidgeFactor.empty(lam, 6, 2), build_design(taus, 5), H)
         direct = solve_ridge(build_design(taus, 2), H, lam)
-        np.testing.assert_allclose(capped.coeffs, direct.coeffs, rtol=0.0, atol=1e-12)
-
-
-def test_prior_for_another_problem_rejected():
-    phi = build_design([-0.5, 0.5], 1)
-    fit = solve_ridge(phi, np.ones((2, 2)), 0.1)
-    with pytest.raises(ValueError, match="prior factor"):
-        solve_ridge(build_design([0.7], 1), np.ones((1, 2)), 0.2, prior=fit.factor)
-    with pytest.raises(ValueError, match="prior factor"):
-        solve_ridge(build_design([0.7], 2), np.ones((1, 2)), 0.1, prior=fit.factor)
+        np.testing.assert_allclose(solve_leading(factor, 3), direct, rtol=0.0, atol=1e-12)
 
 
 def test_import_leaves_scipy_out():
@@ -156,12 +170,12 @@ def test_shape_mismatch_rejected():
 
 
 def test_min_singular_identity():
-    phi = DesignMatrix(rows=np.eye(2))
+    phi = np.eye(2)
     assert min_singular(phi) == pytest.approx(1.0)
 
 
 def test_min_singular_rank_deficient():
-    phi = DesignMatrix(rows=np.array([[1.0, 0.0], [0.0, 0.0]]))
+    phi = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert min_singular(phi) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -169,7 +183,7 @@ def test_min_singular_matches_bisection_oracle():
     rng = np.random.default_rng(5)
     for trial in range(5):
         phi = build_design(np.sort(rng.uniform(-1, 1, 8)), 2)
-        gram = phi.rows.T @ phi.rows
+        gram = phi.T @ phi
         expected = np.sqrt(max(smallest_eig_bisect(gram), 0.0))
         assert min_singular(phi) == pytest.approx(expected, abs=1e-8)
 
@@ -183,13 +197,10 @@ def test_objective_zero_for_interpolant():
 
 
 def test_objective_zero_coefficients():
-    from chebcast.ridge import CoefficientMatrix
-
     rng = np.random.default_rng(7)
     phi = build_design(np.sort(rng.uniform(-1, 1, 4)), 1)
     H = rng.normal(size=(4, 3))
-    zero = CoefficientMatrix(coeffs=np.zeros((2, 3)))
-    assert ridge_objective(phi, H, zero, 0.5) == pytest.approx(float(np.sum(H * H)))
+    assert ridge_objective(phi, H, np.zeros((2, 3)), 0.5) == pytest.approx(float(np.sum(H * H)))
 
 
 def test_objective_matches_direct_summation():
@@ -200,10 +211,10 @@ def test_objective_matches_direct_summation():
     direct = 0.0
     for k in range(7):
         for i in range(2):
-            direct += (phi.rows[k] @ C.coeffs[:, i] - H[k, i]) ** 2
+            direct += (phi[k] @ C[:, i] - H[k, i]) ** 2
     for m in range(4):
         for i in range(2):
-            direct += 0.2 * C.coeffs[m, i] ** 2
+            direct += 0.2 * C[m, i] ** 2
     assert ridge_objective(phi, H, C, 0.2) == pytest.approx(direct, abs=1e-10)
 
 
@@ -214,13 +225,10 @@ def test_fitted_coefficients_are_optimal():
     lam = 0.1
     C = solve_ridge(phi, H, lam)
     base = ridge_objective(phi, H, C, lam)
-    from chebcast.ridge import CoefficientMatrix
-
     for _ in range(100):
-        delta = rng.normal(size=C.coeffs.shape)
+        delta = rng.normal(size=C.shape)
         delta *= 1e-3 / np.linalg.norm(delta)
-        perturbed = CoefficientMatrix(coeffs=C.coeffs + delta)
-        assert ridge_objective(phi, H, perturbed, lam) >= base - 1e-12
+        assert ridge_objective(phi, H, C + delta, lam) >= base - 1e-12
 
 
 def test_coefficient_norm_monotone_in_lambda():
@@ -228,7 +236,7 @@ def test_coefficient_norm_monotone_in_lambda():
     phi = build_design(np.sort(rng.uniform(-1, 1, 7)), 3)
     H = rng.normal(size=(7, 3))
     lams = [0.0, 0.01, 0.1, 1.0, 10.0]
-    norms = [np.linalg.norm(solve_ridge(phi, H, lam).coeffs) for lam in lams]
+    norms = [np.linalg.norm(solve_ridge(phi, H, lam)) for lam in lams]
     assert all(n1 >= n2 for n1, n2 in zip(norms, norms[1:]))
 
 
@@ -236,9 +244,9 @@ def test_columns_decouple():
     rng = np.random.default_rng(11)
     phi = build_design(np.sort(rng.uniform(-1, 1, 6)), 2)
     H = rng.normal(size=(6, 4))
-    joint = solve_ridge(phi, H, 0.3).coeffs
+    joint = solve_ridge(phi, H, 0.3)
     for i in range(4):
-        single = solve_ridge(phi, H[:, i], 0.3).coeffs[:, 0]
+        single = solve_ridge(phi, H[:, i], 0.3)[:, 0]
         np.testing.assert_allclose(joint[:, i], single, atol=1e-12)
 
 
@@ -247,6 +255,6 @@ def test_min_singular_lower_bounds_normal_matrix():
     for _ in range(5):
         phi = build_design(np.sort(rng.uniform(-1, 1, 9)), 4)
         lam = rng.uniform(0.0, 1.0)
-        normal = phi.rows.T @ phi.rows + lam * np.eye(5)
+        normal = phi.T @ phi + lam * np.eye(5)
         smallest = smallest_eig_bisect(normal)
         assert min_singular(phi) ** 2 + lam <= smallest + 1e-9
