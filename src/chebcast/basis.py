@@ -44,15 +44,15 @@ def basis_row(degree: int, tau: float) -> np.ndarray:
     tau = float(tau)
     if not abs(tau) <= 1.0 + TAU_SLACK:  # NaN compares false, so it is outside
         raise ValueError(f"projected time must lie in [-1, 1], got {tau}")
-    return recurrence_row(_check_degree(degree), min(1.0, max(-1.0, tau)))
+    return np.array(recurrence_row(_check_degree(degree), min(1.0, max(-1.0, tau))))
 
 
-def recurrence_row(degree: int, tau: float) -> np.ndarray:
-    """basis_row without its checks, for an int degree >= 0 and a float tau in [-1, 1]."""
+def recurrence_row(degree: int, tau: float) -> list[float]:
+    """basis_row as a list, without its checks, for an int degree >= 0 and a float tau in [-1, 1]."""
     row = [1.0, tau]
     for _ in range(2, degree + 1):
         row.append(2.0 * tau * row[-1] - row[-2])
-    return np.array(row[: degree + 1])
+    return row[: degree + 1]
 
 
 def basis_matrix(degree: int, taus) -> np.ndarray:

@@ -102,16 +102,34 @@ def _integer(v, path: str) -> int:
     return int(v)
 
 
+def _number(v, path: str) -> float:
+    """v as a float; a bool, a string or any other non-number is an error, not converted."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"invalid value for {path}: expected a number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, path: str):
+    """A nested list of numbers, each leaf checked by _number, ready for np.asarray."""
+    return [_numbers(x, path) for x in v] if isinstance(v, list) else _number(v, path)
+
+
+def _string(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"invalid value for {path}: expected a string, got {v!r}")
+    return v
+
+
 # Annotation -> coercion of the raw JSON value; the path names the key in errors.
 _COERCE = {
     "int": _integer,
-    "float": lambda v, _: float(v),
-    "str": lambda v, _: str(v),
+    "float": _number,
+    "str": _string,
     "int | None": lambda v, path: None if v is None else _integer(v, path),
     "tuple[int, ...]": lambda v, path: tuple(_integer(x, path) for x in v),
     "tuple[int, ...] | None": lambda v, path: None if v is None else tuple(_integer(x, path) for x in v),
-    "tuple[float, ...]": lambda v, _: tuple(float(x) for x in v),
-    "np.ndarray": lambda v, _: np.asarray(v, dtype=float),
+    "tuple[float, ...]": lambda v, path: tuple(_number(x, path) for x in v),
+    "np.ndarray": lambda v, path: np.asarray(_numbers(v, path), dtype=float),
     "tuple[Channel, ...]": lambda v, path: tuple(
         _parse_tagged("channel", "type", _CHANNELS, ch, f"{path}[{i}]") for i, ch in enumerate(v)
     ),
@@ -139,7 +157,7 @@ def _parse(cls, raw, path: str):
                 kwargs[f.name] = _COERCE[f.type](raw[key], where)
             except ConfigError:
                 raise
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise ConfigError(f"invalid value for {where}: {err}") from err
     try:
         return cls(**kwargs)

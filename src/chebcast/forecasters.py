@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import basis_matrix, basis_row, project_time, recurrence_row
-from .ridge import DEFAULT_LAMBDA, RidgeFactor, fold_rows, solve_leading
+from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle, solve_leading
 
 DEFAULT_DEGREE = 4
 
@@ -159,11 +159,10 @@ class SpectralConfig:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """A fit carried between sampler steps: the QR factor of every cached entry.
+    """A fit to the cache: the QR factor of every cached entry up to fitted_at.
 
-    The next fit to the same cache folds its new entries into factor.  The
-    coefficients of the given degree are solved the first time they are
-    read, so passes with no forecast between them never solve.
+    The next fit to the same cache folds its new entries into factor.  A
+    forecast reads only triangle; coeffs is solved only when it is read.
     """
 
     factor: RidgeFactor
@@ -174,6 +173,13 @@ class SpectralState:
     def coeffs(self) -> np.ndarray:
         """The (degree+1) x F coefficient matrix."""
         return solve_leading(self.factor, self.degree + 1)
+
+    @cached_property
+    def triangle(self) -> tuple[list[list[float]], np.ndarray]:
+        """The leading triangle's columns R[:i+1, i] as floats, and the rows of Q^T H it solves for."""
+        n = self.degree + 1
+        cols = leading_triangle(self.factor, n).T.tolist()
+        return [col[: i + 1] for i, col in enumerate(cols)], self.factor.qth[:n]
 
 
 def spectral_fit(
@@ -207,8 +213,22 @@ def spectral_fit(
 
 
 def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
-    """Evaluate the fitted series at timestep t: phi(2t-1) @ C."""
-    return recurrence_row(state.degree, project_time(t)) @ state.coeffs
+    """Evaluate the fitted series at timestep t: phi(2t-1) @ C, without forming C.
+
+    C solves R C = Q^T H, so phi @ C = w @ Q^T H with R^T w = phi: one
+    forward substitution on the (degree+1)-wide triangle, in floats, then a
+    single product with the F-wide Q^T H.  Both are backward-stable solves
+    with the same R, so the forecast is as accurate as phi @ C.
+    """
+    cols, qth = state.triangle
+    w: list[float] = []
+    for col, p in zip(cols, recurrence_row(state.degree, project_time(t))):
+        for r, x in zip(col, w):  # stops at the end of w, before the diagonal
+            p -= r * x
+        w.append(p / col[-1])
+    if not all(map(math.isfinite, w)):
+        raise RidgeFitError("ridge forecast produced non-finite weights")
+    return np.array(w).dot(qth)
 
 
 class TaylorForecaster:
@@ -233,24 +253,36 @@ class TaylorForecaster:
 class SpectralForecaster:
     """Global Chebyshev ridge forecaster.
 
-    Each observation folds its row into the previous fit's QR factor, so it
-    costs the same however deep the cache is; the coefficients are solved at
-    the first forecast that reads them.  At lambda = 0 the fit degree is
-    capped at len(cache)-1 until the cache is deep enough (see spectral_fit).
+    observe only checks the time and caches the entry.  The first read of
+    state after it folds every entry observed since into the previous fit's
+    QR factor at once (see spectral_fit, which also caps the degree at
+    lambda = 0), so a fit costs as many rows as were observed since, however
+    deep the cache is.  fit_count counts the observed entries.
     """
 
     def __init__(self, config: SpectralConfig | None = None, window: int | None = None):
         self.config = config if config is not None else SpectralConfig()
         self.cache = FeatureCache(capacity=window)
-        self.state: SpectralState | None = None
         self.fit_count = 0
+        self._state: SpectralState | None = None
+        self._stale = False
 
     def observe(self, t: float, h) -> None:
+        project_time(t)  # a time outside [0, 1] never reaches the cache
         self.cache.insert(t, h)
-        self.state = spectral_fit(self.cache, self.config, self.state)
+        self._stale = True
         self.fit_count += 1
 
+    @property
+    def state(self) -> SpectralState | None:
+        """The fit to the whole cache, or None before the first observe."""
+        if self._stale:
+            self._state = spectral_fit(self.cache, self.config, self._state)
+            self._stale = False
+        return self._state
+
     def predict(self, t: float) -> np.ndarray:
-        if self.state is None:
+        state = self.state
+        if state is None:
             raise ValueError("spectral forecaster has no fitted state")
-        return spectral_forecast(self.state, t)
+        return spectral_forecast(state, t)

@@ -9,8 +9,8 @@ which is the least-squares problem [sqrt(lambda) I; Phi] C ~ [0; H].  It is
 solved through the QR factorization of that stacked matrix, never through
 the normal equations, so the condition number is not squared and no
 stabilizing diagonal is ever added.  The factor R and the matching rows of
-Q^T [0; H] are kept, so rows observed later are folded into them one small
-QR at a time (Golub & Van Loan, Matrix Computations, sec. 6.5) instead of
+Q^T [0; H] are kept, so rows observed later are folded into them by one
+small QR (Golub & Van Loan, Matrix Computations, sec. 6.5) instead of
 refactoring every row seen so far.
 """
 
@@ -87,14 +87,15 @@ def fold_rows(factor: RidgeFactor, rows: np.ndarray, H: np.ndarray) -> RidgeFact
     return RidgeFactor(r, qth, factor.lam, factor.n_points + rows.shape[0])
 
 
-def solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
-    """Back substitution on the leading n_coef x n_coef block of R.
+def leading_triangle(factor: RidgeFactor, n_coef: int) -> np.ndarray:
+    """The leading n_coef x n_coef block of R, checked to be solvable.
 
     QR of the first columns of a matrix is the leading block of its R, so
-    this is the fit with the first n_coef basis functions only.
+    this is the factor of the fit with the first n_coef basis functions
+    only.  At lambda = 0, fewer than n_coef points or a rank-deficient |R|
+    diagonal is a RidgeFitError.
     """
     r = factor.r[:n_coef, :n_coef]
-    qth = factor.qth[:n_coef]
     if factor.lam == 0.0:
         if factor.n_points < n_coef:
             raise RidgeFitError(
@@ -103,6 +104,13 @@ def solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
         diag = np.abs(np.diag(r))
         if not diag.min() > max(factor.n_points, n_coef) * np.finfo(float).eps * diag.max():
             raise RidgeFitError(f"design is rank-deficient at lambda=0 (|R| diagonal {diag})")
+    return r
+
+
+def solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
+    """The n_coef x F coefficients of the fit with the first n_coef basis functions."""
+    r = leading_triangle(factor, n_coef)
+    qth = factor.qth[:n_coef]
     coeffs = np.empty_like(qth)
     for i in range(n_coef - 1, -1, -1):
         coeffs[i] = (qth[i] - r[i, i + 1:] @ coeffs[i + 1:]) / r[i, i]

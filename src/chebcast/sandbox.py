@@ -295,9 +295,11 @@ class TrajectoryRecord:
     states: np.ndarray      # (N, D) state after each step
     features: np.ndarray    # (N, F) feature used at each step
     flags: tuple[str, ...]  # "actual" | "forecast"
-    # Coefficient fits: one per actual pass.  Per-block caching counts
-    # n_blocks per pass: its one fit of h - base(t) equals the sum of the
-    # n_blocks per-block residual fits, since all share one design and lambda.
+    # Observed passes, each one row of a fit; the rows are folded when a
+    # forecast reads the fit, so several passes can share one fold.
+    # Per-block caching counts n_blocks per pass: its one fit of h - base(t)
+    # equals the sum of the n_blocks per-block residual fits, since all share
+    # one design and lambda.
     fit_count: int
     wall_time: float
 
@@ -328,8 +330,8 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     """Iterate the schedule over t in [0, 1), forecasting on skipped steps.
 
     Step j (1-based) evaluates the drift at t_j = (j-1)/N and advances the
-    state to t_j + 1/N; full-pass steps also insert the feature into the cache
-    and refit the forecaster state, per the online fit-then-forecast loop.
+    state to t_j + 1/N; full-pass steps also hand their feature to the
+    forecaster, which fits it at the next forecast step that reads it.
     The oracle kind performs a full pass at every step regardless of the
     schedule and is the reference trajectory for RMSE comparisons.
 
@@ -368,7 +370,7 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             if forecaster is not None:
                 try:
                     forecaster.observe(t, h if base is None else h - base(t))
-                except ValueError as err:  # a bad feature or time; the fit is solved at predict
+                except ValueError as err:  # a bad feature or time; the fit is made at predict
                     raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
             flags.append("actual")
         else:

@@ -299,6 +299,14 @@ INVALID = {
     "infinite step count": ("schedule", "n_steps", float("inf"), "schedule.n_steps: expected an integer"),
     "NaN lambda": ("forecaster", "lambda", float("nan"), "forecaster.*finite"),
     "infinite lambda": ("forecaster", "lambda", float("inf"), "forecaster.*finite"),
+    "boolean lambda": ("forecaster", "lambda", True, "forecaster.lambda: expected a number, got True"),
+    "string alpha": ("schedule", "alpha", "3", "schedule.alpha: expected a number, got '3'"),
+    "alpha past the float range": ("schedule", "alpha", 10**400, "schedule.alpha: int too large"),
+    "boolean weight": ("spec", "weights", [True, 0.0, 0.0], "spec.weights: expected a number, got True"),
+    "boolean variances": ("spec", "variances", [[True] * 8] * 3, "spec.variances: expected a number"),
+    "string means": ("spec", "means", [["1"] * 8] * 3, "spec.means: expected a number, got '1'"),
+    "null output dir": (None, "output_dir", None, "output_dir: expected a string, got None"),
+    "numeric output dir": (None, "output_dir", 5, "output_dir: expected a string, got 5"),
     "schedule not an object": (None, "schedule", [], "schedule"),
     "checkpoint past the end": (None, "checkpoints", [99], "checkpoints"),
     "per-block without a block stack": ("forecaster", "cache_scope", "per_block", "block_stack"),

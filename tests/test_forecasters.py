@@ -19,6 +19,7 @@ from chebcast import (
     spectral_forecast,
     taylor_forecast,
 )
+from chebcast.basis import recurrence_row
 from chebcast.forecasters import SpectralForecaster
 from chebcast.sandbox import PolynomialChannel
 from chebcast.ridge import build_design
@@ -340,7 +341,7 @@ def test_fit_with_prior_equals_batch_fit(degree, lam, window, n_points, n_prior,
     np.testing.assert_allclose(folded, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
 
 
-def test_observe_folds_in_only_the_new_entry(monkeypatch):
+def test_first_read_folds_in_every_entry_observed_since(monkeypatch):
     import chebcast.forecasters as forecasters
 
     rows, solves = [], []
@@ -359,17 +360,50 @@ def test_observe_folds_in_only_the_new_entry(monkeypatch):
     fc = SpectralForecaster(window=3)
     for t in (0.0, 0.1, 0.2, 0.3, 0.4):
         fc.observe(t, [t, 1.0])
-    # the window refits all of itself once an eviction has dropped a fitted row
-    assert rows == [1, 1, 1, 3, 3]
-    assert solves == []  # observe only folds
+    assert rows == []  # observe only caches
     first = fc.predict(0.5)
-    assert solves == [3]  # the first forecast after an observe solves once
+    assert rows == [3]  # the first read fits the whole window at once
     assert np.array_equal(fc.predict(0.6), spectral_forecast(fc.state, 0.6))
-    assert solves == [3]  # and every later one reuses that solve
+    assert rows == [3]  # and every later read reuses that fit
     fc.observe(0.5, [0.5, 1.0])
-    assert solves == [3]
+    assert rows == [3]
     assert not np.array_equal(fc.predict(0.5), first)
-    assert solves == [3, 3]
+    # the window refits all of itself once an eviction has dropped a fitted row
+    assert rows == [3, 3]
+    assert solves == []  # a forecast never solves for the coefficients
+    assert fc.fit_count == 6
+
+
+def test_bad_observe_time_leaves_the_cache_unchanged():
+    fc = SpectralForecaster()
+    fc.observe(0.2, [1.0])
+    before = fc.predict(0.3)
+    with pytest.raises(ValueError, match=r"timestep must lie in \[0, 1\], got 1.5"):
+        fc.observe(1.5, [1.0])
+    assert len(fc.cache) == 1 and fc.fit_count == 1
+    assert np.array_equal(fc.predict(0.3), before)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 1e-3, 0.1]),
+    n_channels=st.integers(1, 4),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    t_query=st.floats(0.0, 1.0),
+)
+def test_triangle_forecast_matches_coefficient_forecast(degree, lam, n_channels, extra, seed, t_query):
+    """w @ Q^T H with R^T w = phi(tau) is phi(tau) @ C, C = R^{-1} Q^T H, to round-off."""
+    rng = np.random.default_rng(seed)
+    n_points = degree + 1 + extra
+    # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
+    times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
+    cache = filled_cache(zip(times, rng.normal(size=(n_points, n_channels))))
+    state = spectral_fit(cache, SpectralConfig(degree, lam))
+    via_coeffs = recurrence_row(state.degree, project_time(t_query)) @ state.coeffs
+    scale = max(1.0, np.abs(state.coeffs).sum())
+    np.testing.assert_allclose(spectral_forecast(state, t_query), via_coeffs, rtol=0.0, atol=1e-12 * scale)
 
 
 @settings(max_examples=80, deadline=None)

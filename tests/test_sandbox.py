@@ -1,6 +1,7 @@
 """Tests for the analytic denoisers and the step-skipping sampler."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from chebcast import (
     trajectory_to_csv,
     uniform_schedule,
 )
+from chebcast.config import load_config
 from chebcast.forecasters import SpectralConfig, SpectralForecaster
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
@@ -388,6 +390,32 @@ def test_per_block_fits_only_the_output_width(monkeypatch):
     run = run_sampler(spec, SolverConfig(uniform_schedule(30, 3, 2), choice), sample_initial_latent(spec.dim, 0))
     assert "forecast" in run.flags
     assert widths and set(widths) == {spec.width}
+
+
+def test_gate9_run_folds_at_the_forecasts_and_never_solves_coefficients(monkeypatch):
+    """Passes with no forecast between them are folded together, and no forecast solves for C."""
+    import chebcast.forecasters as forecasters
+
+    rows, solves = [], []
+    real_fold, real_solve = forecasters.fold_rows, forecasters.solve_leading
+
+    def counting_fold(factor, new_rows, H):
+        rows.append(new_rows.shape[0])
+        return real_fold(factor, new_rows, H)
+
+    def counting_solve(factor, n_coef):
+        solves.append(n_coef)
+        return real_solve(factor, n_coef)
+
+    monkeypatch.setattr(forecasters, "fold_rows", counting_fold)
+    monkeypatch.setattr(forecasters, "solve_leading", counting_solve)
+    config = load_config(str(Path(__file__).parent / "data" / "gate9_config.json"))
+    x0 = sample_initial_latent(config.spec.dim, config.seeds[0])
+    run = run_sampler(config.spec, config.solver_config(), x0)
+    # schedule 1,2,3,4,5,7,12,20,31,45: the first forecast (step 6) reads five passes
+    assert rows == [5, 1, 1, 1, 1, 1]
+    assert solves == []
+    assert run.fit_count == 10
 
 
 class _NanOnce(BlockStack):
