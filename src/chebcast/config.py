@@ -12,7 +12,7 @@ is a ConfigError naming its key or section.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     output_dir: str = "chebcast_out"
     checkpoints: tuple[int, ...] | None = None  # None: the final step only
+    _solver: SolverConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.schedule.n_steps
@@ -52,7 +53,8 @@ class ExperimentConfig:
         for step in self.checkpoints:
             if not 1 <= step <= n:
                 raise ValueError(f"checkpoints must lie in [1, {n}], got {step}")
-        choice, forecasts = self.forecaster, adaptive_schedule(self.schedule).forecast_indices
+        choice, schedule = self.forecaster, adaptive_schedule(self.schedule)
+        forecasts = schedule.forecast_indices
         if choice.cache_scope == "per_block" and not isinstance(self.spec, BlockStack):
             raise ValueError("per-block caching requires a block_stack denoiser")
         # the cache only grows (up to the window), so the first forecast reads the fewest entries
@@ -62,9 +64,15 @@ class ExperimentConfig:
                 f"taylor order {choice.order} needs {choice.order + 1} cached entries, but the "
                 f"cache holds {depth} at the first forecast step {forecasts[0]}"
             )
+        solver = SolverConfig(schedule=schedule, forecaster=choice)
+        if solver.plan.failure is not None:
+            step, t, err = solver.plan.failure
+            raise ValueError(f"the {choice.kind} forecast at step {step} (t={t:g}) cannot be made: {err}")
+        object.__setattr__(self, "_solver", solver)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(schedule=adaptive_schedule(self.schedule), forecaster=self.forecaster)
+        """The solver config, with its forecasts planned once, when this config was built."""
+        return self._solver
 
     def to_dict(self) -> dict:
         return _dump(self)

@@ -103,7 +103,8 @@ def leading_triangle(factor: RidgeFactor, n_coef: int) -> np.ndarray:
             )
         diag = np.abs(np.diag(r))
         if not diag.min() > max(factor.n_points, n_coef) * np.finfo(float).eps * diag.max():
-            raise RidgeFitError(f"design is rank-deficient at lambda=0 (|R| diagonal {diag})")
+            shown = ", ".join(f"{d:.3g}" for d in diag)  # on one line, so a CLI error stays one line
+            raise RidgeFitError(f"design is rank-deficient at lambda=0 (|R| diagonal {shown})")
     return r
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forecasters import FeatureCache, SpectralConfig, SpectralForecaster, TaylorForecaster
+from .ridge import RidgeFitError
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -277,10 +278,118 @@ class ForecasterChoice:
         FeatureCache(capacity=self.window)  # rejects window < 1
 
 
+def _make_forecaster(choice: ForecasterChoice):
+    if choice.kind in ("naive", "taylor"):
+        order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
+        return TaylorForecaster(order=order, window=choice.window)
+    if choice.kind == "spectrum":
+        return SpectralForecaster(SpectralConfig(choice.degree, choice.lam), window=choice.window)
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class Stretch:
+    """Skipped steps start..stop-1 (0-based): their features are weights @ passes[lo:hi]."""
+
+    start: int
+    stop: int
+    lo: int
+    hi: int
+    weights: np.ndarray  # (stop - start, hi - lo)
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastPlan:
+    """Every forecast of one schedule and forecaster, as weights over the cached passes.
+
+    Each forecaster is linear in its cached features, with weights fixed by
+    the step times and its hyperparameters alone, so observing the unit
+    vector e_k at the k-th pass makes each prediction that step's weight row.
+    failure is the (step, t, error) of the first forecast that cannot be
+    made; the plan then stops at that step.
+    """
+
+    times: np.ndarray       # (N,) t_j = (j-1)/N
+    increments: np.ndarray  # (N,) Euler step lengths: (t_j + 1/N) - t_j, and 1 - t_N at the last step
+    flags: tuple[str, ...]
+    stretches: dict[int, Stretch]  # keyed by their first step
+    n_passes: int  # feature rows a run caches: the NFE, or 0 when nothing is forecast
+    fit_count: int  # of the planning forecaster
+    failure: tuple[int, float, Exception] | None = None
+
+    @property
+    def stop(self) -> int:
+        """Steps a run makes before it raises the failure: all N without one."""
+        return self.times.size if self.failure is None else self.failure[0] - 1
+
+
+def _stretch(rows: list, hi: int, stop: int) -> Stretch:
+    """The stretch of the weight rows that ends before step stop, trimmed to its nonzero columns [lo, hi)."""
+    weights = np.array(rows)[:, :hi]
+    used = np.flatnonzero(weights.any(axis=0))
+    lo = int(used[0]) if used.size else hi
+    return Stretch(stop - len(rows), stop, lo, hi, np.ascontiguousarray(weights[:, lo:]))
+
+
+def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:
+    """Run the choice's forecaster once along the schedule on unit feature vectors.
+
+    The oracle kind plans a full pass at every step regardless of the schedule.
+    """
+    n = schedule.n_steps
+    dt = 1.0 / n
+    times = np.arange(n) * dt
+    increments = (times + dt) - times
+    increments[-1] = 1.0 - times[-1]
+    forecaster = _make_forecaster(choice)
+    if forecaster is None:
+        return ForecastPlan(times, increments, ("actual",) * n, {}, 0, 0)
+
+    nfe = schedule.nfe
+    flags, stretches, rows, k, failure = [], [], [], 0, None
+    for j, t in enumerate(times.tolist()):
+        if j + 1 in schedule.full_pass_set:
+            if rows:
+                stretches.append(_stretch(rows, k, j))
+                rows = []
+            unit = np.zeros(nfe)
+            unit[k] = 1.0
+            forecaster.observe(t, unit)
+            k += 1
+            flags.append("actual")
+            continue
+        try:
+            row = forecaster.predict(t)
+            if not np.isfinite(row).all():
+                raise RidgeFitError("forecast weights are non-finite")
+        except (ValueError, RidgeFitError) as err:  # a cache too short for the order, or no unique fit
+            failure = (j + 1, t, err)
+            break
+        rows.append(row)
+        flags.append("forecast")
+    if rows:
+        stretches.append(_stretch(rows, k, len(flags)))
+    return ForecastPlan(
+        times, increments, tuple(flags), {s.start: s for s in stretches}, nfe, forecaster.fit_count, failure
+    )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """A schedule and a forecaster choice, with every forecast planned once at construction.
+
+    The plan holds, for each stretch of skipped steps, the weights that turn
+    the cached passes into its features; it derives from the two fields
+    alone, so it takes no part in equality, hashing or repr.  A forecast the
+    plan cannot make is kept with its step and raised by run_sampler there.
+    """
+
     schedule: ActivationSchedule
     forecaster: ForecasterChoice
+    plan: ForecastPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", plan_forecasts(self.schedule, self.forecaster))
 
     @property
     def n_steps(self) -> int:
@@ -295,8 +404,8 @@ class TrajectoryRecord:
     states: np.ndarray      # (N, D) state after each step
     features: np.ndarray    # (N, F) feature used at each step
     flags: tuple[str, ...]  # "actual" | "forecast"
-    # Observed passes, each one row of a fit; the rows are folded when a
-    # forecast reads the fit, so several passes can share one fold.
+    # Observed passes, each one row of a fit.  The rows are folded while the
+    # config's forecasts are planned, on unit features, never during a run.
     # Per-block caching counts n_blocks per pass: its one fit of h - base(t)
     # equals the sum of the n_blocks per-block residual fits, since all share
     # one design and lambda.
@@ -312,15 +421,6 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _make_forecaster(choice: ForecasterChoice):
-    if choice.kind in ("naive", "taylor"):
-        order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
-        return TaylorForecaster(order=order, window=choice.window)
-    if choice.kind == "spectrum":
-        return SpectralForecaster(SpectralConfig(choice.degree, choice.lam), window=choice.window)
-    return None
-
-
 def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
     """Seeded standard-normal initial state."""
     return np.random.default_rng(seed).standard_normal(dim)
@@ -330,66 +430,75 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     """Iterate the schedule over t in [0, 1), forecasting on skipped steps.
 
     Step j (1-based) evaluates the drift at t_j = (j-1)/N and advances the
-    state to t_j + 1/N; full-pass steps also hand their feature to the
-    forecaster, which fits it at the next forecast step that reads it.
+    state to t_j + 1/N.  The run walks config.plan: an actual step evaluates
+    the denoiser, caches its feature and takes the Euler step; a stretch of
+    skipped steps is one product of its planned weights with the cached
+    features, and its states one cumulative sum of the Euler increments.
     The oracle kind performs a full pass at every step regardless of the
     schedule and is the reference trajectory for RMSE comparisons.
 
-    Last-block caching observes the output feature h.  Per-block caching
-    (block_stack only) observes h - base(t) and forecasts base(t) plus that
+    Last-block caching caches the output feature h.  Per-block caching
+    (block_stack only) caches h - base(t) and forecasts base(t) plus that
     residual: ridge coefficients are linear in the targets and every block
     shares one design and lambda, so one fit to the summed block residuals
     y_B - y_0 equals the sum of the per-block fits, and the base feature
     needs no network pass.
     """
     started = time.perf_counter()
-    schedule = config.schedule
-    n = schedule.n_steps
-    dt = 1.0 / n
+    plan = config.plan
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (spec.dim,):
         raise ValueError(f"initial latent must have shape ({spec.dim},), got {x.shape}")
-
-    choice = config.forecaster
-    forecaster = _make_forecaster(choice)
-    full_pass = schedule.full_pass_set if choice.kind != "oracle" else frozenset(range(1, n + 1))
     base, n_blocks = None, 1
-    if choice.cache_scope == "per_block":
+    if config.forecaster.cache_scope == "per_block":
         if not isinstance(spec, BlockStack):
             raise ValueError("per-block caching requires a block_stack denoiser")
         base, n_blocks = spec.base_feature, spec.n_blocks
 
-    times = np.empty(n)
+    n = config.n_steps
+    times, increments = plan.times.tolist(), plan.increments
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
-    flags = []
-    for j in range(1, n + 1):
-        t = (j - 1) * dt
-        if j in full_pass:
+    passes = np.empty((plan.n_passes, spec.dim))
+    k = j = 0
+    while j < plan.stop:
+        stretch = plan.stretches.get(j)
+        if stretch is None:
+            t = times[j]
             h = evaluate_denoiser(spec, x, t)  # the score is h itself
-            if forecaster is not None:
-                try:
-                    forecaster.observe(t, h if base is None else h - base(t))
-                except ValueError as err:  # a bad feature or time; the fit is made at predict
-                    raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
-            flags.append("actual")
-        else:
-            try:
-                h = forecaster.predict(t) if base is None else base(t) + forecaster.predict(t)
-            except Exception as err:
-                raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
-            flags.append("forecast")
-        x = euler_step(x, h, t, t + dt if j < n else 1.0)
-        times[j - 1] = t
-        states[j - 1] = x
-        features[j - 1] = h
+            if plan.n_passes:
+                target = h if base is None else h - base(t)
+                if not np.isfinite(target).all():
+                    raise SamplerError(
+                        f"observe failed at step {j + 1} (t={t:g}): feature at t={t:g} has non-finite entries"
+                    )
+                passes[k] = target
+                k += 1
+            x = x + increments[j] * h
+            states[j] = x
+            features[j] = h
+            j += 1
+            continue
+        stop = stretch.stop
+        H = features[j:stop]
+        np.dot(stretch.weights, passes[stretch.lo:stretch.hi], out=H)
+        if base is not None:
+            H += np.array([base(t) for t in times[j:stop]])
+        steps = increments[j:stop, None] * H
+        steps[0] += x  # the running sum adds each step to the state in turn, as the actual steps do
+        np.add.accumulate(steps, axis=0, out=states[j:stop])
+        x = states[stop - 1]
+        j = stop
+    if plan.failure is not None:
+        step, t, err = plan.failure
+        raise SamplerError(f"forecast failed at step {step} (t={t:g}): {err}") from err
 
     return TrajectoryRecord(
-        times=times,
+        times=plan.times.copy(),
         states=states,
         features=features,
-        flags=tuple(flags),
-        fit_count=getattr(forecaster, "fit_count", 0) * n_blocks,
+        flags=plan.flags,
+        fit_count=plan.fit_count * n_blocks,
         wall_time=time.perf_counter() - started,
     )
 

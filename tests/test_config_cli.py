@@ -364,6 +364,33 @@ def test_cli_simulate_taylor_order_too_deep_exit_code(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def unplannable_raw():
+    """The function-family config with a degree-8, lambda=0 fit to twelve passes 1e-4 apart."""
+    raw = GOLDEN["function_family_config.json"]().to_dict()
+    raw["forecaster"] = {"kind": "spectrum", "degree": 8, "lambda": 0.0}
+    raw["schedule"] = {"n_steps": 10_000, "interval": 5_000, "warmup": 12, "alpha": 0.0}
+    raw["checkpoints"] = None
+    return raw
+
+
+def test_forecast_the_plan_cannot_make_is_config_error():
+    with pytest.raises(
+        ConfigError, match=r"spectrum forecast at step 13 \(t=0.0012\) cannot be made: design is rank-deficient"
+    ):
+        parse_config(unplannable_raw())
+
+
+def test_cli_simulate_unplannable_forecast_exit_code(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(unplannable_raw()))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ") and "step 13" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_steps=st.integers(1, 24),

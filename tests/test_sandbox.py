@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from chebcast import (
     uniform_schedule,
 )
 from chebcast.config import load_config
-from chebcast.forecasters import SpectralConfig, SpectralForecaster
+from chebcast.forecasters import SpectralConfig, SpectralForecaster, TaylorForecaster
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
 from oracles import mc_velocity_single_gaussian
@@ -374,28 +375,32 @@ def test_per_block_matches_independent_forecasters(
     assert run.fit_count == fit_count == spec.n_blocks * config.schedule.nfe
 
 
-def test_per_block_fits_only_the_output_width(monkeypatch):
-    import chebcast.forecasters as forecasters
-
-    widths = []
-    real_fold = forecasters.fold_rows
-
-    def recording_fold(factor, rows, H):
-        widths.append(H.shape[1])
-        return real_fold(factor, rows, H)
-
-    monkeypatch.setattr(forecasters, "fold_rows", recording_fold)
+def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
     spec = BlockStack(n_blocks=3, width=5, seed=1)
     choice = ForecasterChoice(kind="spectrum", window=4, cache_scope="per_block")
-    run = run_sampler(spec, SolverConfig(uniform_schedule(30, 3, 2), choice), sample_initial_latent(spec.dim, 0))
-    assert "forecast" in run.flags
-    assert widths and set(widths) == {spec.width}
+    config = SolverConfig(uniform_schedule(30, 3, 2), choice)
+    run = run_sampler(spec, config, sample_initial_latent(spec.dim, 0))
+    actual = [i for i, flag in enumerate(run.flags) if flag == "actual"]
+    residuals = np.array([run.features[i] - spec.base_feature(run.times[i]) for i in actual])
+    assert residuals.shape == (len(actual), spec.width)
+    forecasts = []
+    for stretch in config.plan.stretches.values():
+        steps = range(stretch.start, stretch.stop)
+        assert stretch.weights.shape == (len(steps), stretch.hi - stretch.lo)
+        assert stretch.hi - stretch.lo <= choice.window  # evicted passes carry no weight
+        expected = stretch.weights @ residuals[stretch.lo:stretch.hi]
+        expected += np.array([spec.base_feature(run.times[i]) for i in steps])
+        np.testing.assert_allclose(run.features[stretch.start:stretch.stop], expected, rtol=1e-14, atol=0.0)
+        forecasts.extend(steps)
+    assert forecasts == [i for i, flag in enumerate(run.flags) if flag == "forecast"]
+    assert forecasts
 
 
-def test_gate9_run_folds_at_the_forecasts_and_never_solves_coefficients(monkeypatch):
-    """Passes with no forecast between them are folded together, and no forecast solves for C."""
+def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeypatch):
+    """Planning folds passes with no forecast between them together; no forecast solves for C."""
     import chebcast.forecasters as forecasters
 
+    config = load_config(str(Path(__file__).parent / "data" / "gate9_config.json"))
     rows, solves = [], []
     real_fold, real_solve = forecasters.fold_rows, forecasters.solve_leading
 
@@ -409,13 +414,165 @@ def test_gate9_run_folds_at_the_forecasts_and_never_solves_coefficients(monkeypa
 
     monkeypatch.setattr(forecasters, "fold_rows", counting_fold)
     monkeypatch.setattr(forecasters, "solve_leading", counting_solve)
-    config = load_config(str(Path(__file__).parent / "data" / "gate9_config.json"))
-    x0 = sample_initial_latent(config.spec.dim, config.seeds[0])
-    run = run_sampler(config.spec, config.solver_config(), x0)
+    solver = SolverConfig(adaptive_schedule(config.schedule), config.forecaster)
     # schedule 1,2,3,4,5,7,12,20,31,45: the first forecast (step 6) reads five passes
     assert rows == [5, 1, 1, 1, 1, 1]
     assert solves == []
+    run = run_sampler(config.spec, solver, sample_initial_latent(config.spec.dim, config.seeds[0]))
+    assert rows == [5, 1, 1, 1, 1, 1]
     assert run.fit_count == 10
+
+
+def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
+    import chebcast.forecasters as forecasters
+
+    spec = BlockStack(n_blocks=2, width=6, seed=3)
+    schedule = adaptive_schedule(ScheduleParams(40, 2, 4, 1.0))
+    configs = [
+        SolverConfig(schedule, choice)
+        for choice in (
+            ForecasterChoice(kind="spectrum"),
+            ForecasterChoice(kind="spectrum", window=3, cache_scope="per_block"),
+            ForecasterChoice(kind="taylor", order=2, window=5),
+            ForecasterChoice(kind="naive"),
+        )
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run must only read its plan")
+
+    for name in ("fold_rows", "spectral_fit", "spectral_forecast", "taylor_forecast", "naive_forecast"):
+        monkeypatch.setattr(forecasters, name, forbidden)
+    for config in configs:
+        run = run_sampler(spec, config, sample_initial_latent(spec.dim, 1))
+        assert "forecast" in run.flags
+
+
+def stepwise_reference(spec, config, x0):
+    """The sampler as one loop over the steps: observe, predict and euler_step at each."""
+    choice = config.forecaster
+    if choice.kind == "spectrum":
+        forecaster = SpectralForecaster(SpectralConfig(choice.degree, choice.lam), window=choice.window)
+    else:  # naive reuse is Taylor order 0
+        forecaster = TaylorForecaster(order=choice.order if choice.kind == "taylor" else 0, window=choice.window)
+    base, n_blocks = None, 1
+    if choice.cache_scope == "per_block":
+        base, n_blocks = spec.base_feature, spec.n_blocks
+    n = config.n_steps
+    dt = 1.0 / n
+    x = np.asarray(x0, dtype=float)
+    states, features, flags = [], [], []
+    for j in range(1, n + 1):
+        t = (j - 1) * dt
+        if config.schedule.is_full_pass(j):
+            h = evaluate_denoiser(spec, x, t)
+            try:
+                forecaster.observe(t, h if base is None else h - base(t))
+            except ValueError as err:
+                raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
+            flags.append("actual")
+        else:
+            try:
+                h = forecaster.predict(t) if base is None else base(t) + forecaster.predict(t)
+            except Exception as err:
+                raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
+            flags.append("forecast")
+        x = euler_step(x, h, t, t + dt if j < n else 1.0)
+        states.append(x)
+        features.append(h)
+    return np.array(states), np.array(features), tuple(flags), forecaster.fit_count * n_blocks
+
+
+def forecast_condition(config):
+    """max(1, sum_k |a_k|) over the forecast steps, a the weights of a forecast over the cached passes.
+
+    A forecast is sum_k a_k h_k, so evaluating it in floats is off by up to
+    about eps * sum_k |a_k| |h_k|, in any order of operations.  The weights
+    are made here apart from the forecasters: Lagrange weights of the newest
+    order+1 passes for Taylor, a least-squares solve of [T(2t-1); sqrt(lam) I]
+    against [I; 0] for the spectral fit.
+    """
+    choice, n = config.forecaster, config.n_steps
+    order = choice.order if choice.kind == "taylor" else 0
+    passes, worst = [], 1.0
+    for j in range(1, n + 1):
+        t = (j - 1) / n
+        if config.schedule.is_full_pass(j):
+            passes.append(t)
+            continue
+        cached = np.array(passes[-choice.window:] if choice.window else passes)
+        if choice.kind == "spectrum":
+            degree = choice.degree if choice.lam > 0.0 else min(choice.degree, cached.size - 1)
+            design = np.vstack([chebvander(2.0 * cached - 1.0, degree), np.sqrt(choice.lam) * np.eye(degree + 1)])
+            unit = np.vstack([np.eye(cached.size), np.zeros((degree + 1, cached.size))])
+            a = chebvander([2.0 * t - 1.0], degree)[0] @ np.linalg.lstsq(design, unit, rcond=None)[0]
+        else:
+            nodes = cached[-(order + 1):]
+            a = [np.prod([(t - q) / (p - q) for q in nodes if q != p]) for p in nodes]
+        worst = max(worst, float(np.sum(np.abs(a))))
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["naive", "taylor", "spectrum"]),
+    order=st.integers(1, 3),
+    degree=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 1e-3, 0.1]),
+    window=st.none() | st.integers(1, 8),
+    per_block=st.booleans(),
+    mixture=st.booleans(),
+    n_steps=st.integers(1, 60),
+    interval=st.integers(1, 6),
+    warmup=st.integers(1, 6),
+    alpha=st.sampled_from([0.0, 0.5, 3.0]),
+)
+def test_planned_run_matches_the_stepwise_run(
+    kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha
+):
+    per_block = per_block and kind == "spectrum"
+    if mixture and not per_block:  # the state feeds back into every actual pass
+        spec = GaussianMixtureFlow(
+            weights=(0.6, 0.4), means=np.array([[1.0, -2.0, 0.5], [-1.5, 1.0, 2.0]]), variances=np.full((2, 3), 0.3)
+        )
+    else:
+        spec = BlockStack(n_blocks=3, width=4, gain=1.5, seed=4)
+    choice = ForecasterChoice(
+        kind=kind, order=order, degree=degree, lam=lam, window=window,
+        cache_scope="per_block" if per_block else "last_block",
+    )
+    schedule = adaptive_schedule(ScheduleParams(n_steps, interval, min(warmup, n_steps), alpha))
+    config = SolverConfig(schedule, choice)
+    x0 = sample_initial_latent(spec.dim, 8)
+    try:
+        states, features, flags, fit_count = stepwise_reference(spec, config, x0)
+    except SamplerError as err:
+        with pytest.raises(SamplerError) as raised:
+            run_sampler(spec, config, x0)
+        assert str(raised.value) == str(err)
+        return
+    run = run_sampler(spec, config, x0)
+    assert run.flags == flags
+    assert run.fit_count == fit_count
+    if kind == "naive":
+        assert np.array_equal(run.features, features)
+        assert np.array_equal(run.states, states)
+    else:
+        scale = 1e-12 * max(1.0, np.max(np.abs(features))) * forecast_condition(config)
+        assert np.max(np.abs(run.features - features)) <= scale
+        assert np.max(np.abs(run.states - states)) <= scale
+
+
+def test_plan_takes_no_part_in_config_identity():
+    params = ScheduleParams(50, 2, 5, 3.0)
+    a = SolverConfig(adaptive_schedule(params), ForecasterChoice(kind="spectrum"))
+    b = SolverConfig(adaptive_schedule(params), ForecasterChoice(kind="spectrum"))
+    assert a.plan is not b.plan
+    assert a == b
+    assert hash(a) == hash(b)
+    assert "plan" not in repr(a)
+    assert "weights" not in repr(a)
+    assert a != SolverConfig(adaptive_schedule(params), ForecasterChoice(kind="spectrum", lam=0.2))
 
 
 class _NanOnce(BlockStack):
