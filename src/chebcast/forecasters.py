@@ -212,15 +212,13 @@ def spectral_fit(
     return SpectralState(factor=fold_rows(factor, rows, H), degree=degree, fitted_at=t)
 
 
-def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
-    """Evaluate the fitted series at timestep t: phi(2t-1) @ C, without forming C.
+def spectral_weights(state: SpectralState, t: float) -> np.ndarray:
+    """The w with R^T w = phi(2t-1) on the fit's triangle: the forecast at t is w @ Q^T H.
 
-    C solves R C = Q^T H, so phi @ C = w @ Q^T H with R^T w = phi: one
-    forward substitution on the (degree+1)-wide triangle, in floats, then a
-    single product with the F-wide Q^T H.  Both are backward-stable solves
-    with the same R, so the forecast is as accurate as phi @ C.
+    One forward substitution on the (degree+1)-wide triangle, in floats.  w
+    depends on the cached times alone, never on the features.
     """
-    cols, qth = state.triangle
+    cols, _ = state.triangle
     w: list[float] = []
     for col, p in zip(cols, recurrence_row(state.degree, project_time(t))):
         for r, x in zip(col, w):  # stops at the end of w, before the diagonal
@@ -228,7 +226,18 @@ def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
         w.append(p / col[-1])
     if not all(map(math.isfinite, w)):
         raise RidgeFitError("ridge forecast produced non-finite weights")
-    return np.array(w).dot(qth)
+    return np.array(w)
+
+
+def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
+    """Evaluate the fitted series at timestep t: phi(2t-1) @ C, without forming C.
+
+    C solves R C = Q^T H, so phi @ C = w @ Q^T H with R^T w = phi (see
+    spectral_weights), then a single product with the F-wide Q^T H.  Both
+    are backward-stable solves with the same R, so the forecast is as
+    accurate as phi @ C.
+    """
+    return spectral_weights(state, t).dot(state.triangle[1])
 
 
 class TaylorForecaster:
@@ -282,7 +291,14 @@ class SpectralForecaster:
         return self._state
 
     def predict(self, t: float) -> np.ndarray:
+        return spectral_forecast(self._fitted(), t)
+
+    def weights(self, t: float) -> np.ndarray:
+        """The w with predict(t) = w @ the leading len(w) rows of state.factor.qth."""
+        return spectral_weights(self._fitted(), t)
+
+    def _fitted(self) -> SpectralState:
         state = self.state
         if state is None:
             raise ValueError("spectral forecaster has no fitted state")
-        return spectral_forecast(state, t)
+        return state

@@ -36,13 +36,17 @@ class RidgeFactor:
 
     r is the (M+1) x (M+1) upper-triangular R of the stacked design, qth the
     matching (M+1) x F rows of Q^T [0; H], and n_points the number of design
-    rows folded in.  The ridge coefficients solve R C = Q^T H.
+    rows folded in.  The ridge coefficients solve R C = Q^T H.  q is the
+    orthonormal factor of the fold that made this factor (None for the
+    empty one): it depends on the design alone, so it carries any features'
+    qth through the same fold with rotate_features.
     """
 
     r: np.ndarray
     qth: np.ndarray
     lam: float
     n_points: int
+    q: np.ndarray | None = None
 
     @classmethod
     def empty(cls, lam: float, n_coef: int, n_channels: int) -> RidgeFactor:
@@ -83,8 +87,12 @@ def fold_rows(factor: RidgeFactor, rows: np.ndarray, H: np.ndarray) -> RidgeFact
     the cost in the channel count F is a single (M+1) x (M+1+K) x F matmul.
     """
     q, r = np.linalg.qr(np.concatenate([factor.r, rows]))
-    qth = q.T @ np.concatenate([factor.qth, H])
-    return RidgeFactor(r, qth, factor.lam, factor.n_points + rows.shape[0])
+    return RidgeFactor(r, rotate_features(q, factor.qth, H), factor.lam, factor.n_points + rows.shape[0], q)
+
+
+def rotate_features(q: np.ndarray, qth: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """q^T [qth; H]: the rows of Q^T H after a fold with orthonormal factor q of the rows of H."""
+    return q.T @ np.concatenate([qth, H])
 
 
 def leading_triangle(factor: RidgeFactor, n_coef: int) -> np.ndarray:

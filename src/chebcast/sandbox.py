@@ -10,9 +10,9 @@ Three denoiser families act as ground-truth oracles at desk scale:
   independent of the state; useful for exactness and bound checks.
 * block_stack -- a stack of smooth residual blocks (fixed random rotation
   plus a tanh nonlinearity) over a polynomial base feature, for comparing
-  last-block against per-block caching.  Per-block caching forecasts the
-  summed block residuals h - base(t) and adds back the base, which needs no
-  network pass.
+  last-block against per-block caching.  Per-block caching forecasts every
+  block's residual y_b - y_(b-1) through one shared fit and adds back the
+  base, which needs no network pass.
 
 In every family the score fed to the solver is the last-block feature
 itself, and one sampler run is strictly sequential.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forecasters import FeatureCache, SpectralConfig, SpectralForecaster, TaylorForecaster
-from .ridge import RidgeFitError
+from .ridge import RidgeFactor, RidgeFitError, rotate_features
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -289,13 +289,23 @@ def _make_forecaster(choice: ForecasterChoice):
 
 @dataclass(frozen=True, eq=False)
 class Stretch:
-    """Skipped steps start..stop-1 (0-based): their features are weights @ passes[lo:hi]."""
+    """Skipped steps start..stop-1 (0-based): their features are weights @ passes[lo:hi].
+
+    A spectral stretch (fold set) instead folds passes[lo:hi] into the
+    fit's Q^T H with fold, the orthonormal factor of the fit's QR update,
+    starting from zeros when fresh and else from the previous spectral
+    stretch's Q^T H.  Each of its features is its row of weights, the
+    forecast's w, times the leading rows of that Q^T H: the products the
+    forecaster itself evaluates, in its order.
+    """
 
     start: int
     stop: int
     lo: int
     hi: int
-    weights: np.ndarray  # (stop - start, hi - lo)
+    weights: np.ndarray  # (stop - start, hi - lo), or (stop - start, n_coef) with a fold
+    fold: np.ndarray | None = None
+    fresh: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +314,8 @@ class ForecastPlan:
 
     Each forecaster is linear in its cached features, with weights fixed by
     the step times and its hyperparameters alone, so observing the unit
-    vector e_k at the k-th pass makes each prediction that step's weight row.
+    vector e_k at the k-th pass makes each prediction that step's weight row;
+    a spectral fit's folds and forecast weights need no features at all.
     failure is the (step, t, error) of the first forecast that cannot be
     made; the plan then stops at that step.
     """
@@ -313,7 +324,7 @@ class ForecastPlan:
     increments: np.ndarray  # (N,) Euler step lengths: (t_j + 1/N) - t_j, and 1 - t_N at the last step
     flags: tuple[str, ...]
     stretches: dict[int, Stretch]  # keyed by their first step
-    n_passes: int  # feature rows a run caches: the NFE, or 0 when nothing is forecast
+    n_rows: int  # newest passes a run keeps: the most a stretch reads (>= 1), or 0 for the oracle
     fit_count: int  # of the planning forecaster
     failure: tuple[int, float, Exception] | None = None
 
@@ -323,8 +334,15 @@ class ForecastPlan:
         return self.times.size if self.failure is None else self.failure[0] - 1
 
 
-def _stretch(rows: list, hi: int, stop: int) -> Stretch:
-    """The stretch of the weight rows that ends before step stop, trimmed to its nonzero columns [lo, hi)."""
+def _stretch(rows: list, hi: int, stop: int, factor: RidgeFactor | None) -> Stretch:
+    """The stretch of the weight rows that ends before step stop, trimmed to its nonzero columns [lo, hi).
+
+    factor, the spectral fit the rows were solved on, makes a stretch over
+    the passes its fold took in.
+    """
+    if factor is not None:
+        folded = factor.q.shape[0] - factor.q.shape[1]
+        return Stretch(stop - len(rows), stop, hi - folded, hi, np.array(rows), factor.q, factor.n_points == folded)
     weights = np.array(rows)[:, :hi]
     used = np.flatnonzero(weights.any(axis=0))
     lo = int(used[0]) if used.size else hi
@@ -334,7 +352,10 @@ def _stretch(rows: list, hi: int, stop: int) -> Stretch:
 def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:
     """Run the choice's forecaster once along the schedule on unit feature vectors.
 
-    The oracle kind plans a full pass at every step regardless of the schedule.
+    The spectral forecaster observes empty features instead: its fits' folds
+    and forecast weights w depend on the times alone, and a run carries the
+    passes through those folds itself.  The oracle kind plans a full pass at
+    every step regardless of the schedule.
     """
     n = schedule.n_steps
     dt = 1.0 / n
@@ -346,20 +367,22 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
         return ForecastPlan(times, increments, ("actual",) * n, {}, 0, 0)
 
     nfe = schedule.nfe
+    spectral = isinstance(forecaster, SpectralForecaster)
     flags, stretches, rows, k, failure = [], [], [], 0, None
     for j, t in enumerate(times.tolist()):
         if j + 1 in schedule.full_pass_set:
             if rows:
-                stretches.append(_stretch(rows, k, j))
+                stretches.append(_stretch(rows, k, j, forecaster.state.factor if spectral else None))
                 rows = []
-            unit = np.zeros(nfe)
-            unit[k] = 1.0
+            unit = np.zeros(0 if spectral else nfe)  # a spectral fit needs no features, only their times
+            if not spectral:
+                unit[k] = 1.0
             forecaster.observe(t, unit)
             k += 1
             flags.append("actual")
             continue
         try:
-            row = forecaster.predict(t)
+            row = forecaster.weights(t) if spectral else forecaster.predict(t)
             if not np.isfinite(row).all():
                 raise RidgeFitError("forecast weights are non-finite")
         except (ValueError, RidgeFitError) as err:  # a cache too short for the order, or no unique fit
@@ -368,9 +391,10 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
         rows.append(row)
         flags.append("forecast")
     if rows:
-        stretches.append(_stretch(rows, k, len(flags)))
+        stretches.append(_stretch(rows, k, len(flags), forecaster.state.factor if spectral else None))
+    n_rows = max([1] + [s.hi - s.lo for s in stretches])
     return ForecastPlan(
-        times, increments, tuple(flags), {s.start: s for s in stretches}, nfe, forecaster.fit_count, failure
+        times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows, forecaster.fit_count, failure
     )
 
 
@@ -379,9 +403,10 @@ class SolverConfig:
     """A schedule and a forecaster choice, with every forecast planned once at construction.
 
     The plan holds, for each stretch of skipped steps, the weights that turn
-    the cached passes into its features; it derives from the two fields
-    alone, so it takes no part in equality, hashing or repr.  A forecast the
-    plan cannot make is kept with its step and raised by run_sampler there.
+    the cached passes into its features (for the spectral forecaster, the
+    fit's fold and each forecast's w); it derives from the two fields alone,
+    so it takes no part in equality, hashing or repr.  A forecast the plan
+    cannot make is kept with its step and raised by run_sampler there.
     """
 
     schedule: ActivationSchedule
@@ -404,11 +429,11 @@ class TrajectoryRecord:
     states: np.ndarray      # (N, D) state after each step
     features: np.ndarray    # (N, F) feature used at each step
     flags: tuple[str, ...]  # "actual" | "forecast"
-    # Observed passes, each one row of a fit.  The rows are folded while the
-    # config's forecasts are planned, on unit features, never during a run.
-    # Per-block caching counts n_blocks per pass: its one fit of h - base(t)
-    # equals the sum of the n_blocks per-block residual fits, since all share
-    # one design and lambda.
+    # Observed passes, each one row of a fit.  The rows' QR folds are made
+    # while the config's forecasts are planned, never during a run.
+    # Per-block caching counts n_blocks per pass: every block's residual is
+    # carried through the one shared fold, since all share one design and
+    # lambda.
     fit_count: int
     wall_time: float
 
@@ -419,6 +444,14 @@ class TrajectoryRecord:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+
+def _newest(buffer: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Passes lo..hi-1 of a buffer holding pass k at row k % len(buffer); hi - lo <= len(buffer)."""
+    first = lo % len(buffer)
+    if first + hi - lo <= len(buffer):
+        return buffer[first:first + hi - lo]
+    return np.concatenate([buffer[first:], buffer[:hi % len(buffer)]])
 
 
 def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
@@ -432,17 +465,19 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     Step j (1-based) evaluates the drift at t_j = (j-1)/N and advances the
     state to t_j + 1/N.  The run walks config.plan: an actual step evaluates
     the denoiser, caches its feature and takes the Euler step; a stretch of
-    skipped steps is one product of its planned weights with the cached
-    features, and its states one cumulative sum of the Euler increments.
+    skipped steps is one product of its planned weights with the newest
+    cached features, and its states one cumulative sum of the Euler
+    increments.  A spectral stretch first carries the passes new since the
+    last one through the fit's planned fold, then forecasts each step as
+    the forecaster would, w @ Q^T H, so it matches observe/predict bitwise.
     The oracle kind performs a full pass at every step regardless of the
     schedule and is the reference trajectory for RMSE comparisons.
 
     Last-block caching caches the output feature h.  Per-block caching
-    (block_stack only) caches h - base(t) and forecasts base(t) plus that
-    residual: ridge coefficients are linear in the targets and every block
-    shares one design and lambda, so one fit to the summed block residuals
-    y_B - y_0 equals the sum of the per-block fits, and the base feature
-    needs no network pass.
+    (block_stack only) caches every block's residual y_b - y_(b-1) and
+    forecasts base(t) plus the sum of their forecasts: every block shares
+    one design and lambda, so one plan serves them all, and the base
+    feature needs no network pass.
     """
     started = time.perf_counter()
     plan = config.plan
@@ -459,20 +494,25 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     times, increments = plan.times.tolist(), plan.increments
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
-    passes = np.empty((plan.n_passes, spec.dim))
+    passes = np.empty((plan.n_rows, n_blocks, spec.dim))  # pass k at row k % n_rows
+    qth = [None] * n_blocks  # each block's Q^T H of the spectral fit, carried from stretch to stretch
     k = j = 0
     while j < plan.stop:
         stretch = plan.stretches.get(j)
         if stretch is None:
             t = times[j]
-            h = evaluate_denoiser(spec, x, t)  # the score is h itself
-            if plan.n_passes:
-                target = h if base is None else h - base(t)
+            if base is None:
+                h = evaluate_denoiser(spec, x, t)  # the score is h itself
+                target = h[None]
+            else:
+                stages = spec.stage_outputs(t)
+                h, target = stages[-1], np.diff(stages, axis=0)  # y_b - y_(b-1), one row a block
+            if plan.n_rows:
                 if not np.isfinite(target).all():
                     raise SamplerError(
                         f"observe failed at step {j + 1} (t={t:g}): feature at t={t:g} has non-finite entries"
                     )
-                passes[k] = target
+                passes[k % plan.n_rows] = target
                 k += 1
             x = x + increments[j] * h
             states[j] = x
@@ -481,9 +521,23 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             continue
         stop = stretch.stop
         H = features[j:stop]
-        np.dot(stretch.weights, passes[stretch.lo:stretch.hi], out=H)
-        if base is not None:
-            H += np.array([base(t) for t in times[j:stop]])
+        cached = _newest(passes, stretch.lo, stretch.hi)
+        if stretch.fold is None:
+            np.dot(stretch.weights, cached[:, 0], out=H)
+        else:
+            for b in range(n_blocks):
+                prior = np.zeros((stretch.fold.shape[1], spec.dim)) if stretch.fresh else qth[b]
+                qth[b] = rotate_features(stretch.fold, prior, cached[:, b])
+            leading = [block[: stretch.weights.shape[1]] for block in qth]
+            # one step and one block at a time, as each block's forecaster would predict
+            if base is None:
+                for h, w in zip(H, stretch.weights):
+                    np.dot(w, leading[0], out=h)
+            else:
+                for h, w, t in zip(H, stretch.weights, times[j:stop]):
+                    h[:] = base(t)
+                    for block in leading:
+                        h += w.dot(block)
         steps = increments[j:stop, None] * H
         steps[0] += x  # the running sum adds each step to the state in turn, as the actual steps do
         np.add.accumulate(steps, axis=0, out=states[j:stop])

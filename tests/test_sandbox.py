@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebvander
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,21 +375,29 @@ def test_per_block_matches_independent_forecasters(
 
 
 def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
+    """Each block's width-wide residuals go through the planned fold; a forecast is base plus every block's w @ Q^T H."""
     spec = BlockStack(n_blocks=3, width=5, seed=1)
     choice = ForecasterChoice(kind="spectrum", window=4, cache_scope="per_block")
     config = SolverConfig(uniform_schedule(30, 3, 2), choice)
     run = run_sampler(spec, config, sample_initial_latent(spec.dim, 0))
     actual = [i for i, flag in enumerate(run.flags) if flag == "actual"]
-    residuals = np.array([run.features[i] - spec.base_feature(run.times[i]) for i in actual])
-    assert residuals.shape == (len(actual), spec.width)
-    forecasts = []
+    stages = [spec.stage_outputs(run.times[i]) for i in actual]
+    residuals = np.array([[y[b + 1] - y[b] for y in stages] for b in range(spec.n_blocks)])
+    assert residuals.shape == (spec.n_blocks, len(actual), spec.width)
+    forecasts, qth = [], None
     for stretch in config.plan.stretches.values():
         steps = range(stretch.start, stretch.stop)
-        assert stretch.weights.shape == (len(steps), stretch.hi - stretch.lo)
-        assert stretch.hi - stretch.lo <= choice.window  # evicted passes carry no weight
-        expected = stretch.weights @ residuals[stretch.lo:stretch.hi]
-        expected += np.array([spec.base_feature(run.times[i]) for i in steps])
-        np.testing.assert_allclose(run.features[stretch.start:stretch.stop], expected, rtol=1e-14, atol=0.0)
+        assert stretch.weights.shape == (len(steps), choice.degree + 1)
+        assert stretch.hi - stretch.lo <= choice.window  # evicted passes are never folded in
+        # each block's Q^T H over its width residual columns, carried from stretch to stretch
+        prior = np.zeros((spec.n_blocks, choice.degree + 1, spec.width)) if stretch.fresh else qth
+        qth = np.array([stretch.fold.T @ np.vstack([p, r[stretch.lo:stretch.hi]]) for p, r in zip(prior, residuals)])
+        assert qth.shape == (spec.n_blocks, choice.degree + 1, spec.width)
+        for i, w in zip(steps, stretch.weights):
+            expected = spec.base_feature(run.times[i])
+            for block in qth:
+                expected = expected + w @ block[: w.size]
+            np.testing.assert_array_equal(run.features[i], expected)
         forecasts.extend(steps)
     assert forecasts == [i for i, flag in enumerate(run.flags) if flag == "forecast"]
     assert forecasts
@@ -441,7 +448,7 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a run must only read its plan")
 
-    for name in ("fold_rows", "spectral_fit", "spectral_forecast", "taylor_forecast", "naive_forecast"):
+    for name in ("fold_rows", "spectral_fit", "spectral_forecast", "spectral_weights", "taylor_forecast", "naive_forecast"):
         monkeypatch.setattr(forecasters, name, forbidden)
     for config in configs:
         run = run_sampler(spec, config, sample_initial_latent(spec.dim, 1))
@@ -449,15 +456,20 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
 
 
 def stepwise_reference(spec, config, x0):
-    """The sampler as one loop over the steps: observe, predict and euler_step at each."""
+    """The sampler as one loop over the steps: observe, predict and euler_step at each.
+
+    Per-block caching keeps one independent spectral forecaster per block, as
+    per_block_reference does.
+    """
     choice = config.forecaster
+    per_block = choice.cache_scope == "per_block"
     if choice.kind == "spectrum":
-        forecaster = SpectralForecaster(SpectralConfig(choice.degree, choice.lam), window=choice.window)
+        forecasters = [
+            SpectralForecaster(SpectralConfig(choice.degree, choice.lam), window=choice.window)
+            for _ in range(spec.n_blocks if per_block else 1)
+        ]
     else:  # naive reuse is Taylor order 0
-        forecaster = TaylorForecaster(order=choice.order if choice.kind == "taylor" else 0, window=choice.window)
-    base, n_blocks = None, 1
-    if choice.cache_scope == "per_block":
-        base, n_blocks = spec.base_feature, spec.n_blocks
+        forecasters = [TaylorForecaster(order=choice.order if choice.kind == "taylor" else 0, window=choice.window)]
     n = config.n_steps
     dt = 1.0 / n
     x = np.asarray(x0, dtype=float)
@@ -465,52 +477,33 @@ def stepwise_reference(spec, config, x0):
     for j in range(1, n + 1):
         t = (j - 1) * dt
         if config.schedule.is_full_pass(j):
-            h = evaluate_denoiser(spec, x, t)
+            if per_block:
+                stages = spec.stage_outputs(t)
+                h, targets = stages[-1], [stages[b + 1] - stages[b] for b in range(spec.n_blocks)]
+            else:
+                h = evaluate_denoiser(spec, x, t)
+                targets = [h]
             try:
-                forecaster.observe(t, h if base is None else h - base(t))
+                for fc, target in zip(forecasters, targets):
+                    fc.observe(t, target)
             except ValueError as err:
                 raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
             flags.append("actual")
         else:
             try:
-                h = forecaster.predict(t) if base is None else base(t) + forecaster.predict(t)
+                if per_block:
+                    h = spec.base_feature(t)
+                    for fc in forecasters:
+                        h = h + fc.predict(t)
+                else:
+                    h = forecasters[0].predict(t)
             except Exception as err:
                 raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
             flags.append("forecast")
         x = euler_step(x, h, t, t + dt if j < n else 1.0)
         states.append(x)
         features.append(h)
-    return np.array(states), np.array(features), tuple(flags), forecaster.fit_count * n_blocks
-
-
-def forecast_condition(config):
-    """max(1, sum_k |a_k|) over the forecast steps, a the weights of a forecast over the cached passes.
-
-    A forecast is sum_k a_k h_k, so evaluating it in floats is off by up to
-    about eps * sum_k |a_k| |h_k|, in any order of operations.  The weights
-    are made here apart from the forecasters: Lagrange weights of the newest
-    order+1 passes for Taylor, a least-squares solve of [T(2t-1); sqrt(lam) I]
-    against [I; 0] for the spectral fit.
-    """
-    choice, n = config.forecaster, config.n_steps
-    order = choice.order if choice.kind == "taylor" else 0
-    passes, worst = [], 1.0
-    for j in range(1, n + 1):
-        t = (j - 1) / n
-        if config.schedule.is_full_pass(j):
-            passes.append(t)
-            continue
-        cached = np.array(passes[-choice.window:] if choice.window else passes)
-        if choice.kind == "spectrum":
-            degree = choice.degree if choice.lam > 0.0 else min(choice.degree, cached.size - 1)
-            design = np.vstack([chebvander(2.0 * cached - 1.0, degree), np.sqrt(choice.lam) * np.eye(degree + 1)])
-            unit = np.vstack([np.eye(cached.size), np.zeros((degree + 1, cached.size))])
-            a = chebvander([2.0 * t - 1.0], degree)[0] @ np.linalg.lstsq(design, unit, rcond=None)[0]
-        else:
-            nodes = cached[-(order + 1):]
-            a = [np.prod([(t - q) / (p - q) for q in nodes if q != p]) for p in nodes]
-        worst = max(worst, float(np.sum(np.abs(a))))
-    return worst
+    return np.array(states), np.array(features), tuple(flags), sum(fc.fit_count for fc in forecasters)
 
 
 @settings(max_examples=150, deadline=None)
@@ -554,11 +547,11 @@ def test_planned_run_matches_the_stepwise_run(
     run = run_sampler(spec, config, x0)
     assert run.flags == flags
     assert run.fit_count == fit_count
-    if kind == "naive":
+    if kind in ("naive", "spectrum"):  # the forecasters' own products, in their order
         assert np.array_equal(run.features, features)
         assert np.array_equal(run.states, states)
-    else:
-        scale = 1e-12 * max(1.0, np.max(np.abs(features))) * forecast_condition(config)
+    else:  # planned Lagrange weights times the passes, against the divided differences
+        scale = 1e-12 * max(1.0, np.max(np.abs(features)))
         assert np.max(np.abs(run.features - features)) <= scale
         assert np.max(np.abs(run.states - states)) <= scale
 
