@@ -15,22 +15,11 @@ from .bounds import (
     verify_spectral_bound,
     verify_taylor_attainment,
 )
-from .forecasters import (
-    FeatureCache,
-    SpectralConfig,
-    SpectralForecaster,
-    SpectralState,
-    TaylorForecaster,
-    naive_forecast,
-    spectral_fit,
-    spectral_forecast,
-    taylor_forecast,
-)
+from .forecasters import spectral_triangle, spectral_weights, taylor_weights
 from .ridge import (
     RidgeFitError,
     build_design,
     min_singular,
-    ridge_objective,
     solve_ridge,
 )
 from .sandbox import (
@@ -44,7 +33,6 @@ from .sandbox import (
     SineChannel,
     SolverConfig,
     TrajectoryRecord,
-    euler_step,
     evaluate_denoiser,
     oracle_run,
     rmse_vs_oracle,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EllipseBound, project_time, truncation_bound
-from .forecasters import FeatureCache, SpectralConfig, spectral_fit, spectral_forecast
-from .ridge import build_design, min_singular, solve_ridge
+from .forecasters import spectral_triangle, spectral_weights
+from .ridge import RidgeFactor, build_design, fold_rows, min_singular, solve_ridge
 
 DENSE_GRID = 10_000
 
@@ -192,11 +192,9 @@ def verify_spectral_bound(
     """
     k = np.arange(n_nodes)
     nodes = np.sort(fit_end / 2.0 + fit_end / 2.0 * np.cos((2 * k + 1) * np.pi / (2 * n_nodes)))
-    cache = FeatureCache()
-    for t in nodes:
-        cache.insert(t, [channel(t)])
-    state = spectral_fit(cache, SpectralConfig(degree=degree, lam=lam))
     phi = build_design([project_time(t) for t in nodes], degree)
+    fit = fold_rows(RidgeFactor.empty(lam, degree + 1, 1), phi, np.array([[channel(t)] for t in nodes]))
+    triangle = spectral_triangle(fit, degree)
     sigma = min_singular(phi)
     eps_m = truncation_bound(ellipse, degree)
     bound = spectral_bound(eps_m, degree, n_nodes, sigma, lam, ellipse)
@@ -206,7 +204,7 @@ def verify_spectral_bound(
     errors = []
     for gap in gaps:
         t_query = t_anchor + gap
-        pred = spectral_forecast(state, t_query)[0]
+        pred = (spectral_weights(triangle, t_query) @ fit.qth[: len(triangle)])[0]
         errors.append(float(abs(channel(t_query) - pred)))
     contained = bool(all(err <= bound for err in errors))
     # An exact fit (a polynomial channel at lambda = 0) can forecast some gap

@@ -149,19 +149,3 @@ def min_singular(phi: np.ndarray) -> float:
     if phi.shape[0] < phi.shape[1]:
         return 0.0
     return float(np.linalg.svd(phi, compute_uv=False)[-1])
-
-
-def ridge_objective(phi: np.ndarray, features, coeffs: np.ndarray, lam: float) -> float:
-    """||Phi C - H||_F^2 + lambda * ||C||_F^2."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"regularization strength must be >= 0, got {lam}")
-    H = _as_feature_matrix(features, phi.shape[0])
-    C = np.asarray(coeffs, dtype=float)
-    if C.shape != (phi.shape[1], H.shape[1]):
-        raise ValueError(
-            f"coefficient shape {C.shape} does not match design degree {phi.shape[1] - 1} "
-            f"and {H.shape[1]} channels"
-        )
-    resid = phi @ C - H
-    return float(np.sum(resid * resid) + lam * np.sum(C * C))

@@ -20,13 +20,15 @@ itself, and one sampler run is strictly sequential.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forecasters import FeatureCache, SpectralConfig, SpectralForecaster, TaylorForecaster
-from .ridge import RidgeFactor, RidgeFitError, rotate_features
+from .basis import basis_matrix, basis_row
+from .forecasters import spectral_triangle, spectral_weights, taylor_weights
+from .ridge import RidgeFactor, RidgeFitError, fold_rows, rotate_features
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -238,17 +240,6 @@ def evaluate_denoiser(spec: DenoiserSpec, x: np.ndarray, t: float) -> np.ndarray
     return h
 
 
-def euler_step(x: np.ndarray, eps: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-    """Explicit Euler update x + (t_to - t_from) * eps of the flow ODE."""
-    if not (0.0 <= t_from < t_to <= 1.0):
-        raise ValueError(f"need 0 <= t_from < t_to <= 1, got [{t_from}, {t_to}]")
-    x = np.asarray(x, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if x.shape != eps.shape:
-        raise ValueError(f"state shape {x.shape} does not match score shape {eps.shape}")
-    return x + (t_to - t_from) * eps
-
-
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
@@ -274,29 +265,29 @@ class ForecasterChoice:
             raise ValueError("per-block caching is only implemented for the spectral forecaster")
         if self.order < 0:
             raise ValueError(f"taylor order must be >= 0, got {self.order}")
-        SpectralConfig(degree=self.degree, lam=self.lam)  # rejects a bad degree or lambda
-        FeatureCache(capacity=self.window)  # rejects window < 1
-
-
-def _make_forecaster(choice: ForecasterChoice):
-    if choice.kind in ("naive", "taylor"):
-        order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
-        return TaylorForecaster(order=order, window=choice.window)
-    if choice.kind == "spectrum":
-        return SpectralForecaster(SpectralConfig(choice.degree, choice.lam), window=choice.window)
-    return None
+        degree, lam = self.degree, float(self.lam)
+        integral = isinstance(degree, (int, np.integer)) or (isinstance(degree, float) and degree.is_integer())
+        if isinstance(degree, bool) or not integral or degree < 0:
+            raise ValueError(f"basis degree must be an integer >= 0, got {degree!r}")
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"regularization strength must be finite and >= 0, got {lam}")
+        if self.window is not None and self.window < 1:
+            raise ValueError(f"cache window must be >= 1, got {self.window}")
+        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True, eq=False)
 class Stretch:
     """Skipped steps start..stop-1 (0-based): their features are weights @ passes[lo:hi].
 
-    A spectral stretch (fold set) instead folds passes[lo:hi] into the
-    fit's Q^T H with fold, the orthonormal factor of the fit's QR update,
-    starting from zeros when fresh and else from the previous spectral
-    stretch's Q^T H.  Each of its features is its row of weights, the
-    forecast's w, times the leading rows of that Q^T H: the products the
-    forecaster itself evaluates, in its order.
+    A Taylor or naive stretch weighs the newest order+1 passes.  A spectral
+    stretch (fold set) instead folds passes[lo:hi] into the fit's Q^T H with
+    fold, the orthonormal factor of the fit's QR update, starting from zeros
+    when fresh and else from the previous spectral stretch's Q^T H.  Each of
+    its features is its row of weights, the forecast's w, times the leading
+    rows of that Q^T H: w @ Q^T H step by step, as the spectral forecast is
+    defined.
     """
 
     start: int
@@ -313,11 +304,11 @@ class ForecastPlan:
     """Every forecast of one schedule and forecaster, as weights over the cached passes.
 
     Each forecaster is linear in its cached features, with weights fixed by
-    the step times and its hyperparameters alone, so observing the unit
-    vector e_k at the k-th pass makes each prediction that step's weight row;
-    a spectral fit's folds and forecast weights need no features at all.
-    failure is the (step, t, error) of the first forecast that cannot be
-    made; the plan then stops at that step.
+    the step times and its hyperparameters alone, so the plan is computed
+    from the times: taylor_weights for each Taylor or naive forecast, and
+    for the spectral fit its folds and each forecast's w, which need no
+    features at all.  failure is the (step, t, error) of the first forecast
+    that cannot be made; the plan then stops at that step.
     """
 
     times: np.ndarray       # (N,) t_j = (j-1)/N
@@ -325,7 +316,7 @@ class ForecastPlan:
     flags: tuple[str, ...]
     stretches: dict[int, Stretch]  # keyed by their first step
     n_rows: int  # newest passes a run keeps: the most a stretch reads (>= 1), or 0 for the oracle
-    fit_count: int  # of the planning forecaster
+    fit_count: int  # rows the spectral fit took in: its passes up to the plan's stop; 0 for the others
     failure: tuple[int, float, Exception] | None = None
 
     @property
@@ -334,55 +325,79 @@ class ForecastPlan:
         return self.times.size if self.failure is None else self.failure[0] - 1
 
 
-def _stretch(rows: list, hi: int, stop: int, factor: RidgeFactor | None) -> Stretch:
-    """The stretch of the weight rows that ends before step stop, trimmed to its nonzero columns [lo, hi).
+def _stretch(rows: list, hi: int, stop: int, fit: RidgeFactor | None) -> Stretch:
+    """The stretch of the weight rows that ends before step stop and reads passes up to hi - 1.
 
-    factor, the spectral fit the rows were solved on, makes a stretch over
-    the passes its fold took in.
+    Rows without a fit weigh the newest passes; fit, the spectral fit the
+    rows were solved on, makes a stretch over the passes its fold took in.
     """
-    if factor is not None:
-        folded = factor.q.shape[0] - factor.q.shape[1]
-        return Stretch(stop - len(rows), stop, hi - folded, hi, np.array(rows), factor.q, factor.n_points == folded)
-    weights = np.array(rows)[:, :hi]
-    used = np.flatnonzero(weights.any(axis=0))
-    lo = int(used[0]) if used.size else hi
-    return Stretch(stop - len(rows), stop, lo, hi, np.ascontiguousarray(weights[:, lo:]))
+    weights = np.array(rows)
+    if fit is None:
+        return Stretch(stop - len(rows), stop, hi - weights.shape[1], hi, weights)
+    folded = fit.q.shape[0] - fit.q.shape[1]
+    return Stretch(stop - len(rows), stop, hi - folded, hi, weights, fit.q, fit.n_points == folded)
+
+
+def _spectral_fit(passes: list[float], fit: RidgeFactor | None, choice: ForecasterChoice, window: int):
+    """The spectral fit to the cached passes, and its leading triangle.
+
+    The basis rows of the passes new since fit are folded into it; after a
+    window eviction, or without fit, the whole window is folded from the
+    prior rows alone.
+    """
+    k, degree = len(passes), choice.degree
+    if fit is not None and k <= window:  # nothing evicted: fold in the new passes only
+        new = k - fit.n_points
+    else:
+        new, fit = min(k, window), RidgeFactor.empty(choice.lam, degree + 1, 0)
+    if new == 1:  # the streaming case: one row, no stacking
+        rows = basis_row(degree, 2.0 * passes[-1] - 1.0)[None]
+    else:  # project_time, vectorized; basis_matrix checks the range
+        rows = basis_matrix(degree, 2.0 * np.asarray(passes[k - new:]) - 1.0)
+    fit = fold_rows(fit, rows, np.empty((new, 0)))  # the fold depends on the rows alone
+    return fit, spectral_triangle(fit, degree)
 
 
 def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:
-    """Run the choice's forecaster once along the schedule on unit feature vectors.
+    """Compute the weights of every forecast of the schedule from the step times.
 
-    The spectral forecaster observes empty features instead: its fits' folds
-    and forecast weights w depend on the times alone, and a run carries the
-    passes through those folds itself.  The oracle kind plans a full pass at
-    every step regardless of the schedule.
+    A Taylor or naive forecast is taylor_weights over the newest order+1
+    passes.  A spectral forecast first folds the passes new since the last
+    forecast into the fit (see _spectral_fit), then takes its w from
+    spectral_weights on the fit's leading triangle; a run carries the
+    passes through those folds itself.  The oracle kind plans a full pass
+    at every step regardless of the schedule.
     """
     n = schedule.n_steps
     dt = 1.0 / n
     times = np.arange(n) * dt
     increments = (times + dt) - times
     increments[-1] = 1.0 - times[-1]
-    forecaster = _make_forecaster(choice)
-    if forecaster is None:
+    if choice.kind == "oracle":
         return ForecastPlan(times, increments, ("actual",) * n, {}, 0, 0)
 
-    nfe = schedule.nfe
-    spectral = isinstance(forecaster, SpectralForecaster)
-    flags, stretches, rows, k, failure = [], [], [], 0, None
+    spectral = choice.kind == "spectrum"
+    order = int(choice.order) if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
+    window = choice.window or n
+    passes: list[float] = []  # the times of the actual passes so far
+    flags, stretches, rows, failure = [], [], [], None
+    fit, triangle = None, None  # triangle is None while passes wait to be folded into fit
     for j, t in enumerate(times.tolist()):
         if j + 1 in schedule.full_pass_set:
             if rows:
-                stretches.append(_stretch(rows, k, j, forecaster.state.factor if spectral else None))
+                stretches.append(_stretch(rows, len(passes), j, fit))
                 rows = []
-            unit = np.zeros(0 if spectral else nfe)  # a spectral fit needs no features, only their times
-            if not spectral:
-                unit[k] = 1.0
-            forecaster.observe(t, unit)
-            k += 1
+            passes.append(t)
+            triangle = None
             flags.append("actual")
             continue
         try:
-            row = forecaster.weights(t) if spectral else forecaster.predict(t)
+            if not spectral:
+                row = taylor_weights(passes[-min(window, order + 1):], t, order)
+            else:
+                if triangle is None:
+                    fit, triangle = _spectral_fit(passes, fit, choice, window)
+                row = spectral_weights(triangle, t)
             if not np.isfinite(row).all():
                 raise RidgeFitError("forecast weights are non-finite")
         except (ValueError, RidgeFitError) as err:  # a cache too short for the order, or no unique fit
@@ -391,10 +406,11 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
         rows.append(row)
         flags.append("forecast")
     if rows:
-        stretches.append(_stretch(rows, k, len(flags), forecaster.state.factor if spectral else None))
+        stretches.append(_stretch(rows, len(passes), len(flags), fit))
     n_rows = max([1] + [s.hi - s.lo for s in stretches])
+    fit_count = len(passes) if spectral else 0
     return ForecastPlan(
-        times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows, forecaster.fit_count, failure
+        times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows, fit_count, failure
     )
 
 
@@ -429,11 +445,11 @@ class TrajectoryRecord:
     states: np.ndarray      # (N, D) state after each step
     features: np.ndarray    # (N, F) feature used at each step
     flags: tuple[str, ...]  # "actual" | "forecast"
-    # Observed passes, each one row of a fit.  The rows' QR folds are made
-    # while the config's forecasts are planned, never during a run.
-    # Per-block caching counts n_blocks per pass: every block's residual is
-    # carried through the one shared fold, since all share one design and
-    # lambda.
+    # Actual passes the spectral fit takes in, each one row of a fit (0 for
+    # the other kinds).  The rows' QR folds are made when the config's
+    # forecasts are planned, never during a run.  Per-block caching counts
+    # n_blocks per pass: every block's residual is carried through the one
+    # shared fold, since all share one design and lambda.
     fit_count: int
     wall_time: float
 

@@ -27,23 +27,23 @@ from chebcast import (
     run_sampler,
     sample_initial_latent,
     solve_ridge,
-    spectral_fit,
-    spectral_forecast,
+    spectral_triangle,
+    spectral_weights,
     sweep_report,
-    taylor_forecast,
     taylor_worst_case,
     uniform_schedule,
     verify_cheb_decay,
     verify_spectral_bound,
     verify_taylor_attainment,
 )
-from chebcast.forecasters import FeatureCache, SpectralConfig, naive_forecast
+from chebcast.ridge import RidgeFactor, fold_rows
 from chebcast.sandbox import (
     BENCHMARK_CHECKPOINTS,
     BENCHMARK_SEEDS,
     FunctionFamily,
     PolynomialChannel,
     benchmark_mixture,
+    plan_forecasts,
 )
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
@@ -123,18 +123,25 @@ def test_gate_5_exactness_suite():
             times = np.sort(rng.uniform(0.0, 1.0, degree + 1))
             if degree == 0 or np.min(np.diff(times)) > 0.04:
                 break
-        cache = FeatureCache()
-        for t in times:
-            cache.insert(t, basis_row(degree, project_time(t)) @ coeffs)
-        state = spectral_fit(cache, SpectralConfig(degree=degree, lam=0.0))
+        phi = build_design([project_time(t) for t in times], degree)
+        H = np.array([basis_row(degree, project_time(t)) @ coeffs for t in times])
+        fit = fold_rows(RidgeFactor.empty(0.0, degree + 1, 2), phi, H)
+        triangle = spectral_triangle(fit, degree)
         for t_query in rng.uniform(0.0, 1.0, 50):
             expected = basis_row(degree, project_time(t_query)) @ coeffs
-            assert np.max(np.abs(spectral_forecast(state, t_query) - expected)) <= 1e-9
+            assert np.max(np.abs(spectral_weights(triangle, t_query) @ fit.qth - expected)) <= 1e-9
 
-    cache = FeatureCache()
-    for t in (0.0, 0.12, 0.31):
-        cache.insert(t, rng.normal(size=5))
-    assert np.array_equal(taylor_forecast(cache, 0.5, 0), naive_forecast(cache, 0.5))
+    # passes at steps 1, 4 and 7; order-0 Taylor forecasts each skipped step as the newest pass
+    passes = np.array([rng.normal(size=5) for _ in range(3)])
+    schedule = uniform_schedule(8, 3, 1)
+    order0 = plan_forecasts(schedule, ForecasterChoice(kind="taylor", order=0))
+    naive = plan_forecasts(schedule, ForecasterChoice(kind="naive"))
+    assert order0.flags == naive.flags and order0.stretches.keys() == naive.stretches.keys()
+    for a, b in zip(order0.stretches.values(), naive.stretches.values()):
+        assert (a.start, a.stop, a.lo, a.hi, a.fold) == (b.start, b.stop, b.lo, b.hi, b.fold)
+        assert np.array_equal(a.weights, b.weights)
+        newest = np.repeat(passes[a.hi - 1:a.hi], a.stop - a.start, axis=0)
+        assert np.array_equal(a.weights @ passes[a.lo:a.hi], newest)
 
     spec = FunctionFamily(
         channels=tuple(PolynomialChannel(tuple(rng.normal(size=4))) for _ in range(6))

@@ -1,4 +1,10 @@
-"""Tests for the feature cache and the three forecasters."""
+"""Tests for the forecasters' weights, and for the stateful reference forecasters.
+
+The weights chebcast computes from the times alone (taylor_weights,
+spectral_triangle, spectral_weights) are tested directly.  The feature
+cache and the observe/predict forecasters live in tests/oracles.py, as the
+reference the planned sampler is checked against; they are tested here too.
+"""
 
 import numpy as np
 import pytest
@@ -7,24 +13,32 @@ from hypothesis import strategies as st
 
 from chebcast import (
     EllipseBound,
-    FeatureCache,
+    ForecasterChoice,
     RidgeFitError,
-    SpectralConfig,
     basis_row,
     min_singular,
-    naive_forecast,
     project_time,
     spectral_bound,
+    spectral_triangle,
+    spectral_weights,
+    taylor_weights,
+    uniform_schedule,
+)
+from chebcast.basis import recurrence_row
+from chebcast.sandbox import PolynomialChannel, plan_forecasts
+from chebcast.ridge import RidgeFactor, build_design, fold_rows, solve_leading
+
+from oracles import (
+    FeatureCache,
+    SpectralConfig,
+    SpectralForecaster,
+    brute_ridge,
+    naive_forecast,
     spectral_fit,
     spectral_forecast,
     taylor_forecast,
+    taylor_uniform_prediction,
 )
-from chebcast.basis import recurrence_row
-from chebcast.forecasters import SpectralForecaster
-from chebcast.sandbox import PolynomialChannel
-from chebcast.ridge import build_design
-
-from oracles import brute_ridge, taylor_uniform_prediction
 
 
 def filled_cache(pairs):
@@ -32,6 +46,19 @@ def filled_cache(pairs):
     for t, h in pairs:
         cache.insert(t, h)
     return cache
+
+
+def ridge_fit(times, features, degree, lam):
+    """The fit to features at the sorted times: its factor and leading triangle, as a spectral plan makes them."""
+    H = np.array(features, dtype=float)
+    phi = build_design([project_time(t) for t in times], degree)
+    factor = fold_rows(RidgeFactor.empty(lam, degree + 1, H.shape[1]), phi, H)
+    return factor, spectral_triangle(factor, degree)
+
+
+def ridge_forecast(factor, triangle, t):
+    """w @ Q^T H with R^T w = phi(2t-1)."""
+    return spectral_weights(triangle, t) @ factor.qth[: len(triangle)]
 
 
 # --- cache ---------------------------------------------------------------
@@ -110,32 +137,30 @@ def test_order_zero_is_bitwise_naive():
 
 
 def test_linear_channel_is_exact():
-    cache = filled_cache([(t, [2.0 + 3.0 * t]) for t in (0.0, 0.1, 0.2, 0.3)])
-    assert taylor_forecast(cache, 0.7, 1)[0] == pytest.approx(4.1, abs=1e-12)
+    times = (0.0, 0.1, 0.2, 0.3)
+    values = np.array([[2.0 + 3.0 * t] for t in times])
+    assert (taylor_weights(times, 0.7, 1) @ values[-2:])[0] == pytest.approx(4.1, abs=1e-12)
 
 
 def test_two_point_extrapolation_value():
     # slope (2-1)/0.2 = 5, anchored at t=0.2, queried 0.4 ahead -> 4.0
-    cache = filled_cache([(0.0, [1.0]), (0.2, [2.0])])
-    assert taylor_forecast(cache, 0.6, 1)[0] == pytest.approx(4.0, abs=1e-12)
+    assert taylor_weights([0.0, 0.2], 0.6, 1) @ [1.0, 2.0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_uniform_spacing_matches_difference_form():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(5, 3))
     times = [0.1, 0.2, 0.3, 0.4, 0.5]
-    cache = filled_cache(list(zip(times, values)))
     for order in (1, 2, 3):
         for steps_ahead in (0.5, 1.0, 2.5):
-            got = taylor_forecast(cache, 0.5 + 0.1 * steps_ahead, order)
+            got = taylor_weights(times, 0.5 + 0.1 * steps_ahead, order) @ values[-(order + 1):]
             want = taylor_uniform_prediction(values[-(order + 1):], 0.1, steps_ahead, order)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_insufficient_depth_errors():
-    cache = filled_cache([(0.0, [1.0])])
-    with pytest.raises(ValueError, match="cached entries"):
-        taylor_forecast(cache, 0.5, 1)
+    with pytest.raises(ValueError, match="order-1 forecast needs 2 cached entries, have 1"):
+        taylor_weights([0.0], 0.5, 1)
 
 
 # --- spectral ---------------------------------------------------------------
@@ -145,11 +170,10 @@ def test_polynomial_interpolation_reproduces_cache():
     rng = np.random.default_rng(2)
     coeffs = rng.normal(size=(5, 3))
     times = np.sort(rng.uniform(0.0, 1.0, 5))
-    cache = filled_cache([(t, basis_row(4, project_time(t)) @ coeffs) for t in times])
-    state = spectral_fit(cache, SpectralConfig(degree=4, lam=0.0))
+    factor, triangle = ridge_fit(times, [basis_row(4, project_time(t)) @ coeffs for t in times], 4, 0.0)
     for t in times:
         expected = basis_row(4, project_time(t)) @ coeffs
-        np.testing.assert_allclose(spectral_forecast(state, t), expected, atol=1e-9)
+        np.testing.assert_allclose(ridge_forecast(factor, triangle, t), expected, atol=1e-9)
 
 
 def test_polynomial_exactness_all_degrees():
@@ -161,11 +185,11 @@ def test_polynomial_exactness_all_degrees():
                 times = np.sort(rng.uniform(0.0, 1.0, degree + 1))
                 if degree == 0 or np.min(np.diff(times)) > 0.04:
                     break
-            cache = filled_cache([(t, basis_row(degree, project_time(t)) @ coeffs) for t in times])
-            state = spectral_fit(cache, SpectralConfig(degree=degree, lam=0.0))
+            features = [basis_row(degree, project_time(t)) @ coeffs for t in times]
+            factor, triangle = ridge_fit(times, features, degree, 0.0)
             for t_query in rng.uniform(0.0, 1.0, 50):
                 expected = basis_row(degree, project_time(t_query)) @ coeffs
-                np.testing.assert_allclose(spectral_forecast(state, t_query), expected, atol=1e-9)
+                np.testing.assert_allclose(ridge_forecast(factor, triangle, t_query), expected, atol=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,21 +207,20 @@ def test_lambda_zero_fit_reproduces_polynomial_channels(degree, poly_degree, ext
     n_points = degree + 1 + extra
     # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
     times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
-    state = spectral_fit(filled_cache([(t, [channel(t)]) for t in times]), SpectralConfig(degree, 0.0))
-    np.testing.assert_allclose(spectral_forecast(state, t_query), [channel(t_query)], rtol=0.0, atol=1e-9)
+    factor, triangle = ridge_fit(times, [[channel(t)] for t in times], degree, 0.0)
+    np.testing.assert_allclose(ridge_forecast(factor, triangle, t_query), [channel(t_query)], rtol=0.0, atol=1e-9)
 
 
 def test_single_point_ridge_shrinkage():
-    cache = filled_cache([(0.3, [2.0, -1.0])])
-    state = spectral_fit(cache, SpectralConfig(degree=4, lam=0.1))
-    pred = spectral_forecast(state, 0.3)
+    factor, triangle = ridge_fit([0.3], [[2.0, -1.0]], 4, 0.1)
+    pred = ridge_forecast(factor, triangle, 0.3)
     row = basis_row(4, project_time(0.3))
     shrink = (row @ row) / (row @ row + 0.1)
     np.testing.assert_allclose(pred, shrink * np.array([2.0, -1.0]), atol=1e-12)
     assert np.linalg.norm(pred) < np.linalg.norm([2.0, -1.0])
     # cross-check against the brute-force normal-equation oracle
     brute = brute_ridge(row[None, :], np.array([[2.0, -1.0]]), 0.1)
-    np.testing.assert_allclose(state.coeffs, brute, atol=1e-10)
+    np.testing.assert_allclose(solve_leading(factor, 5), brute, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -213,16 +236,15 @@ def test_single_point_ridge_shrinkage():
 )
 def test_spectral_config_rejects_bad_degree_or_lambda(degree, lam, message):
     with pytest.raises(ValueError, match=message):
-        SpectralConfig(degree=degree, lam=lam)
+        ForecasterChoice(kind="spectrum", degree=degree, lam=lam)
 
 
 def test_spectral_config_takes_an_integral_float_degree():
-    config = SpectralConfig(degree=4.0, lam=1)
-    assert (type(config.degree), type(config.lam)) == (int, float)
-    fc = SpectralForecaster(config)
-    for t in (0.0, 0.1, 0.2):
-        fc.observe(t, [t])
-    assert fc.predict(0.3).shape == (1,)
+    choice = ForecasterChoice(kind="spectrum", degree=4.0, lam=1)
+    assert (type(choice.degree), type(choice.lam)) == (int, float)
+    # passes at t = 0, 0.1, 0.2 and 0.9; forecasts at t = 0.3, ..., 0.8
+    plan = plan_forecasts(uniform_schedule(10, 7, 3), choice)
+    assert plan.stretches[3].weights.shape == (6, 5)
 
 
 def test_fit_empty_cache_errors():
@@ -342,7 +364,7 @@ def test_fit_with_prior_equals_batch_fit(degree, lam, window, n_points, n_prior,
 
 
 def test_first_read_folds_in_every_entry_observed_since(monkeypatch):
-    import chebcast.forecasters as forecasters
+    import oracles as forecasters
 
     rows, solves = [], []
     real_fold, real_solve = forecasters.fold_rows, forecasters.solve_leading
@@ -399,11 +421,11 @@ def test_triangle_forecast_matches_coefficient_forecast(degree, lam, n_channels,
     n_points = degree + 1 + extra
     # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
     times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
-    cache = filled_cache(zip(times, rng.normal(size=(n_points, n_channels))))
-    state = spectral_fit(cache, SpectralConfig(degree, lam))
-    via_coeffs = recurrence_row(state.degree, project_time(t_query)) @ state.coeffs
-    scale = max(1.0, np.abs(state.coeffs).sum())
-    np.testing.assert_allclose(spectral_forecast(state, t_query), via_coeffs, rtol=0.0, atol=1e-12 * scale)
+    factor, triangle = ridge_fit(times, rng.normal(size=(n_points, n_channels)), degree, lam)
+    coeffs = solve_leading(factor, len(triangle))
+    via_coeffs = recurrence_row(len(triangle) - 1, project_time(t_query)) @ coeffs
+    scale = max(1.0, np.abs(coeffs).sum())
+    np.testing.assert_allclose(ridge_forecast(factor, triangle, t_query), via_coeffs, rtol=0.0, atol=1e-12 * scale)
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,12 +12,11 @@ from chebcast import (
     RidgeFitError,
     build_design,
     min_singular,
-    ridge_objective,
     solve_ridge,
 )
 from chebcast.ridge import RidgeFactor, fold_rows, solve_leading
 
-from oracles import brute_ridge, smallest_eig_bisect
+from oracles import brute_ridge, ridge_objective, smallest_eig_bisect
 
 
 def test_design_rows_linear_basis():

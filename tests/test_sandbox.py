@@ -1,11 +1,12 @@
 """Tests for the analytic denoisers and the step-skipping sampler."""
 
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebcast import (
@@ -17,7 +18,6 @@ from chebcast import (
     RidgeFitError,
     SamplerError,
     SolverConfig,
-    euler_step,
     evaluate_denoiser,
     oracle_run,
     rmse_vs_oracle,
@@ -27,10 +27,10 @@ from chebcast import (
     uniform_schedule,
 )
 from chebcast.config import load_config
-from chebcast.forecasters import SpectralConfig, SpectralForecaster, TaylorForecaster
+from chebcast.sandbox import plan_forecasts
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
-from oracles import mc_velocity_single_gaussian
+from oracles import SpectralConfig, SpectralForecaster, TaylorForecaster, mc_velocity_single_gaussian, reference_plan
 
 
 def single_gaussian(mean, variance, dim):
@@ -120,27 +120,6 @@ def test_denoiser_rejects_bad_inputs():
 
 
 # --- euler ------------------------------------------------------------------
-
-
-def test_euler_zero_drift():
-    x = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(euler_step(x, np.zeros(2), 0.0, 0.5), x)
-
-
-def test_euler_constant_drift_partition_independent():
-    x = np.array([0.5, 1.5, -1.0])
-    c = np.array([0.3, -0.2, 1.1])
-    for n in (1, 7, 50):
-        cur = x
-        edges = np.linspace(0.0, 1.0, n + 1)
-        for a, b in zip(edges, edges[1:]):
-            cur = euler_step(cur, c, a, b)
-        np.testing.assert_allclose(cur, x + c, atol=1e-12)
-
-
-def test_euler_rejects_non_increasing_time():
-    with pytest.raises(ValueError, match="t_from < t_to"):
-        euler_step(np.zeros(1), np.zeros(1), 0.5, 0.5)
 
 
 def test_fine_euler_reaches_analytic_endpoint():
@@ -305,7 +284,7 @@ def per_block_reference(spec, config, x0):
             h = spec.base_feature(t)
             for fc in per_block:
                 h = h + fc.predict(t)
-        x = euler_step(x, h, t, t + dt if j < n else 1.0)
+        x = x + ((t + dt if j < n else 1.0) - t) * h  # the Euler step
         states.append(x)
         features.append(h)
     return np.array(states), np.array(features), sum(fc.fit_count for fc in per_block)
@@ -405,11 +384,12 @@ def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
 
 def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeypatch):
     """Planning folds passes with no forecast between them together; no forecast solves for C."""
-    import chebcast.forecasters as forecasters
+    import chebcast.ridge as ridge
+    import chebcast.sandbox as sandbox
 
     config = load_config(str(Path(__file__).parent / "data" / "gate9_config.json"))
     rows, solves = [], []
-    real_fold, real_solve = forecasters.fold_rows, forecasters.solve_leading
+    real_fold, real_solve = sandbox.fold_rows, ridge.solve_leading
 
     def counting_fold(factor, new_rows, H):
         rows.append(new_rows.shape[0])
@@ -419,8 +399,8 @@ def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeyp
         solves.append(n_coef)
         return real_solve(factor, n_coef)
 
-    monkeypatch.setattr(forecasters, "fold_rows", counting_fold)
-    monkeypatch.setattr(forecasters, "solve_leading", counting_solve)
+    monkeypatch.setattr(sandbox, "fold_rows", counting_fold)
+    monkeypatch.setattr(ridge, "solve_leading", counting_solve)
     solver = SolverConfig(adaptive_schedule(config.schedule), config.forecaster)
     # schedule 1,2,3,4,5,7,12,20,31,45: the first forecast (step 6) reads five passes
     assert rows == [5, 1, 1, 1, 1, 1]
@@ -431,7 +411,7 @@ def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeyp
 
 
 def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
-    import chebcast.forecasters as forecasters
+    import chebcast.sandbox as sandbox
 
     spec = BlockStack(n_blocks=2, width=6, seed=3)
     schedule = adaptive_schedule(ScheduleParams(40, 2, 4, 1.0))
@@ -448,15 +428,16 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a run must only read its plan")
 
-    for name in ("fold_rows", "spectral_fit", "spectral_forecast", "spectral_weights", "taylor_forecast", "naive_forecast"):
-        monkeypatch.setattr(forecasters, name, forbidden)
+    # every name the plan computes its weights and folds through
+    for name in ("basis_row", "basis_matrix", "fold_rows", "spectral_triangle", "spectral_weights", "taylor_weights"):
+        monkeypatch.setattr(sandbox, name, forbidden)
     for config in configs:
         run = run_sampler(spec, config, sample_initial_latent(spec.dim, 1))
         assert "forecast" in run.flags
 
 
 def stepwise_reference(spec, config, x0):
-    """The sampler as one loop over the steps: observe, predict and euler_step at each.
+    """The sampler as one loop over the steps: observe, predict and an Euler step at each.
 
     Per-block caching keeps one independent spectral forecaster per block, as
     per_block_reference does.
@@ -500,7 +481,7 @@ def stepwise_reference(spec, config, x0):
             except Exception as err:
                 raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
             flags.append("forecast")
-        x = euler_step(x, h, t, t + dt if j < n else 1.0)
+        x = x + ((t + dt if j < n else 1.0) - t) * h  # the Euler step
         states.append(x)
         features.append(h)
     return np.array(states), np.array(features), tuple(flags), sum(fc.fit_count for fc in forecasters)
@@ -554,6 +535,72 @@ def test_planned_run_matches_the_stepwise_run(
         scale = 1e-12 * max(1.0, np.max(np.abs(features)))
         assert np.max(np.abs(run.features - features)) <= scale
         assert np.max(np.abs(run.states - states)) <= scale
+
+
+def assert_same_plan(plan, reference):
+    """Every field of two plans equal, the floats bitwise, the failure by step, time, type and message."""
+    assert np.array_equal(plan.times, reference.times)
+    assert np.array_equal(plan.increments, reference.increments)
+    assert plan.flags == reference.flags
+    assert (plan.n_rows, plan.fit_count) == (reference.n_rows, reference.fit_count)
+    assert list(plan.stretches) == list(reference.stretches)
+    for got, want in zip(plan.stretches.values(), reference.stretches.values()):
+        assert (got.start, got.stop, got.lo, got.hi) == (want.start, want.stop, want.lo, want.hi)
+        assert got.fresh == want.fresh
+        assert got.weights.shape == want.weights.shape
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (got.fold is None) == (want.fold is None)
+        if got.fold is not None:
+            assert got.fold.shape == want.fold.shape
+            assert got.fold.tobytes() == want.fold.tobytes()
+    assert (plan.failure is None) == (reference.failure is None)
+    if plan.failure is not None:
+        (step, t, err), (want_step, want_t, want_err) = plan.failure, reference.failure
+        assert (step, t, type(err), str(err)) == (want_step, want_t, type(want_err), str(want_err))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["oracle", "naive", "taylor", "spectrum"]),
+    order=st.integers(0, 4),
+    degree=st.integers(0, 8),
+    lam=st.sampled_from([0.0, 1e-3, 0.1]),
+    window=st.none() | st.integers(1, 8),
+    n_steps=st.integers(1, 60),
+    interval=st.integers(1, 6),
+    warmup=st.integers(1, 6),
+    alpha=st.sampled_from([0.0, 0.5, 3.0]),
+)
+# 10,000 steps of 1e-4: degree 6-8 at lambda=0 on the warm-up passes is rank-deficient at the first forecast
+@example(kind="spectrum", order=1, degree=8, lam=0.0, window=None, n_steps=10_000, interval=5_000, warmup=12, alpha=0.0)
+@example(kind="spectrum", order=1, degree=6, lam=0.0, window=8, n_steps=10_000, interval=5_000, warmup=9, alpha=0.0)
+# a window of 3 evicts from the 4th pass on, so each fit is folded afresh; at lambda=0 its degree is capped at 2
+@example(kind="spectrum", order=1, degree=4, lam=0.0, window=3, n_steps=40, interval=3, warmup=2, alpha=0.5)
+# an order-3 forecast at step 3, with two passes cached, or one through a window of 1
+@example(kind="taylor", order=3, degree=4, lam=0.1, window=None, n_steps=20, interval=4, warmup=2, alpha=0.0)
+@example(kind="taylor", order=1, degree=4, lam=0.1, window=1, n_steps=20, interval=2, warmup=3, alpha=0.0)
+def test_plan_from_the_times_is_bitwise_the_reference_plan(
+    kind, order, degree, lam, window, n_steps, interval, warmup, alpha
+):
+    """plan_forecasts, from the times alone, against the stateful forecasters run on unit feature vectors."""
+    schedule = adaptive_schedule(ScheduleParams(n_steps, interval, min(warmup, n_steps), alpha))
+    choice = ForecasterChoice(kind=kind, order=order, degree=degree, lam=lam, window=window)
+    assert_same_plan(plan_forecasts(schedule, choice), reference_plan(schedule, choice))
+
+
+@pytest.mark.parametrize("kind", ["taylor", "naive"])
+def test_local_planning_memory_is_linear_in_nfe(kind):
+    """A Taylor or naive plan holds order+1 weights a forecast, never one per cached pass."""
+    # the plan depends on the schedule and the choice alone, whatever the denoiser
+    schedule = uniform_schedule(2000, 2, 5)  # NFE 1,000
+    tracemalloc.start()
+    try:
+        plan = plan_forecasts(schedule, ForecasterChoice(kind=kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.failure is None
+    assert peak < 2 * 2**20
 
 
 def test_plan_takes_no_part_in_config_identity():
