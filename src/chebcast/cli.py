@@ -23,6 +23,7 @@ from .bounds import verify_cheb_decay, verify_spectral_bound, verify_taylor_atta
 from .config import ConfigError, load_config
 from .sandbox import (
     SWEEP_AXES,
+    SamplerError,
     oracle_run,
     rmse_vs_oracle,
     run_sampler,
@@ -61,11 +62,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
     out = _output_dir(config.output_dir)
     solver = config.solver_config()
     spec = config.spec
@@ -206,9 +203,12 @@ DEFAULT_SWEEP_VALUES = {"lambda": "1e-3,0.1,10", "degree": "2,4,6", "alpha": "0,
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in (args.values or DEFAULT_SWEEP_VALUES[args.axis]).split(",")]
+    try:
+        values = [float(v) for v in (args.values or DEFAULT_SWEEP_VALUES[args.axis]).split(",")]
+        rows = sweep_report(args.axis, values)
+    except ValueError as err:  # a value that is no number, or that no config takes
+        raise ConfigError(f"--values: {err}") from err
     out = _output_dir(args.output_dir)
-    rows = sweep_report(args.axis, values)
     lines = ["axis_value,mean_rmse,nfe"]
     for row in rows:
         lines.append(f"{row.axis_value!r},{row.mean_rmse!r},{row.nfe}")
@@ -252,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, SamplerError) as err:  # a bad config, or a non-finite feature its denoiser gave
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

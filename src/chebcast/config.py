@@ -53,21 +53,10 @@ class ExperimentConfig:
         for step in self.checkpoints:
             if not 1 <= step <= n:
                 raise ValueError(f"checkpoints must lie in [1, {n}], got {step}")
-        choice, schedule = self.forecaster, adaptive_schedule(self.schedule)
-        forecasts = schedule.forecast_indices
-        if choice.cache_scope == "per_block" and not isinstance(self.spec, BlockStack):
+        if self.forecaster.cache_scope == "per_block" and not isinstance(self.spec, BlockStack):
             raise ValueError("per-block caching requires a block_stack denoiser")
-        # the cache only grows (up to the window), so the first forecast reads the fewest entries
-        depth = min(forecasts[0] - 1, choice.window or n) if forecasts else float("inf")
-        if choice.kind == "taylor" and depth < choice.order + 1:
-            raise ValueError(
-                f"taylor order {choice.order} needs {choice.order + 1} cached entries, but the "
-                f"cache holds {depth} at the first forecast step {forecasts[0]}"
-            )
-        solver = SolverConfig(schedule=schedule, forecaster=choice)
-        if solver.plan.failure is not None:
-            step, t, err = solver.plan.failure
-            raise ValueError(f"the {choice.kind} forecast at step {step} (t={t:g}) cannot be made: {err}")
+        # SolverConfig plans every forecast, and refuses one it cannot make
+        solver = SolverConfig(schedule=adaptive_schedule(self.schedule), forecaster=self.forecaster)
         object.__setattr__(self, "_solver", solver)
 
     def solver_config(self) -> SolverConfig:

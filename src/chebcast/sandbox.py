@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import basis_matrix, basis_row
+from .basis import basis_matrix
 from .forecasters import spectral_triangle, spectral_weights, taylor_weights
 from .ridge import RidgeFactor, RidgeFitError, fold_rows, rotate_features
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
@@ -36,7 +36,7 @@ CACHE_SCOPES = ("last_block", "per_block")
 
 
 class SamplerError(RuntimeError):
-    """Forecaster failure inside a sampling run, annotated with the step index."""
+    """A non-finite feature at an actual pass of a sampling run, annotated with the step index."""
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +263,23 @@ class ForecasterChoice:
             raise ValueError(f"cache scope must be one of {CACHE_SCOPES}, got {self.cache_scope!r}")
         if self.cache_scope == "per_block" and self.kind != "spectrum":
             raise ValueError("per-block caching is only implemented for the spectral forecaster")
-        if self.order < 0:
-            raise ValueError(f"taylor order must be >= 0, got {self.order}")
-        degree, lam = self.degree, float(self.lam)
-        integral = isinstance(degree, (int, np.integer)) or (isinstance(degree, float) and degree.is_integer())
-        if isinstance(degree, bool) or not integral or degree < 0:
-            raise ValueError(f"basis degree must be an integer >= 0, got {degree!r}")
+        order, degree = _count(self.order, "taylor order"), _count(self.degree, "basis degree")
+        lam = float(self.lam)
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"regularization strength must be finite and >= 0, got {lam}")
         if self.window is not None and self.window < 1:
             raise ValueError(f"cache window must be >= 1, got {self.window}")
-        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "lam", lam)
+
+
+def _count(value, what: str) -> int:
+    """value as an int >= 0; a bool or a number with a fractional part is an error, not truncated."""
+    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +312,8 @@ class ForecastPlan:
     the step times and its hyperparameters alone, so the plan is computed
     from the times: taylor_weights for each Taylor or naive forecast, and
     for the spectral fit its folds and each forecast's w, which need no
-    features at all.  failure is the (step, t, error) of the first forecast
-    that cannot be made; the plan then stops at that step.
+    features at all.  A plan is always complete: plan_forecasts refuses a
+    schedule with a forecast it cannot make.
     """
 
     times: np.ndarray       # (N,) t_j = (j-1)/N
@@ -316,13 +321,6 @@ class ForecastPlan:
     flags: tuple[str, ...]
     stretches: dict[int, Stretch]  # keyed by their first step
     n_rows: int  # newest passes a run keeps: the most a stretch reads (>= 1), or 0 for the oracle
-    fit_count: int  # rows the spectral fit took in: its passes up to the plan's stop; 0 for the others
-    failure: tuple[int, float, Exception] | None = None
-
-    @property
-    def stop(self) -> int:
-        """Steps a run makes before it raises the failure: all N without one."""
-        return self.times.size if self.failure is None else self.failure[0] - 1
 
 
 def _stretch(rows: list, hi: int, stop: int, fit: RidgeFactor | None) -> Stretch:
@@ -350,10 +348,8 @@ def _spectral_fit(passes: list[float], fit: RidgeFactor | None, choice: Forecast
         new = k - fit.n_points
     else:
         new, fit = min(k, window), RidgeFactor.empty(choice.lam, degree + 1, 0)
-    if new == 1:  # the streaming case: one row, no stacking
-        rows = basis_row(degree, 2.0 * passes[-1] - 1.0)[None]
-    else:  # project_time, vectorized; basis_matrix checks the range
-        rows = basis_matrix(degree, 2.0 * np.asarray(passes[k - new:]) - 1.0)
+    # project_time, vectorized; basis_matrix checks the range
+    rows = basis_matrix(degree, 2.0 * np.asarray(passes[k - new:]) - 1.0)
     fit = fold_rows(fit, rows, np.empty((new, 0)))  # the fold depends on the rows alone
     return fit, spectral_triangle(fit, degree)
 
@@ -366,7 +362,9 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
     forecast into the fit (see _spectral_fit), then takes its w from
     spectral_weights on the fit's leading triangle; a run carries the
     passes through those folds itself.  The oracle kind plans a full pass
-    at every step regardless of the schedule.
+    at every step regardless of the schedule.  A forecast that cannot be
+    made (a cache too short for the order, or no unique fit) raises
+    ValueError, naming its step and time.
     """
     n = schedule.n_steps
     dt = 1.0 / n
@@ -374,13 +372,13 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
     increments = (times + dt) - times
     increments[-1] = 1.0 - times[-1]
     if choice.kind == "oracle":
-        return ForecastPlan(times, increments, ("actual",) * n, {}, 0, 0)
+        return ForecastPlan(times, increments, ("actual",) * n, {}, 0)
 
     spectral = choice.kind == "spectrum"
-    order = int(choice.order) if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
+    order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
     window = choice.window or n
     passes: list[float] = []  # the times of the actual passes so far
-    flags, stretches, rows, failure = [], [], [], None
+    flags, stretches, rows = [], [], []
     fit, triangle = None, None  # triangle is None while passes wait to be folded into fit
     for j, t in enumerate(times.tolist()):
         if j + 1 in schedule.full_pass_set:
@@ -401,17 +399,13 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
             if not np.isfinite(row).all():
                 raise RidgeFitError("forecast weights are non-finite")
         except (ValueError, RidgeFitError) as err:  # a cache too short for the order, or no unique fit
-            failure = (j + 1, t, err)
-            break
+            raise ValueError(f"the {choice.kind} forecast at step {j + 1} (t={t:g}) cannot be made: {err}") from err
         rows.append(row)
         flags.append("forecast")
     if rows:
         stretches.append(_stretch(rows, len(passes), len(flags), fit))
     n_rows = max([1] + [s.hi - s.lo for s in stretches])
-    fit_count = len(passes) if spectral else 0
-    return ForecastPlan(
-        times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows, fit_count, failure
-    )
+    return ForecastPlan(times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows)
 
 
 @dataclass(frozen=True)
@@ -422,7 +416,7 @@ class SolverConfig:
     the cached passes into its features (for the spectral forecaster, the
     fit's fold and each forecast's w); it derives from the two fields alone,
     so it takes no part in equality, hashing or repr.  A forecast the plan
-    cannot make is kept with its step and raised by run_sampler there.
+    cannot make refuses the config here, before any pass (see plan_forecasts).
     """
 
     schedule: ActivationSchedule
@@ -445,9 +439,9 @@ class TrajectoryRecord:
     states: np.ndarray      # (N, D) state after each step
     features: np.ndarray    # (N, F) feature used at each step
     flags: tuple[str, ...]  # "actual" | "forecast"
-    # Actual passes the spectral fit takes in, each one row of a fit (0 for
-    # the other kinds).  The rows' QR folds are made when the config's
-    # forecasts are planned, never during a run.  Per-block caching counts
+    # Actual passes the spectral fit takes in, each one row of a fit: the
+    # schedule's NFE (0 for the other kinds).  Their QR folds are made when
+    # the config is planned, never during a run.  Per-block caching counts
     # n_blocks per pass: every block's residual is carried through the one
     # shared fold, since all share one design and lambda.
     fit_count: int
@@ -513,7 +507,7 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     passes = np.empty((plan.n_rows, n_blocks, spec.dim))  # pass k at row k % n_rows
     qth = [None] * n_blocks  # each block's Q^T H of the spectral fit, carried from stretch to stretch
     k = j = 0
-    while j < plan.stop:
+    while j < n:
         stretch = plan.stretches.get(j)
         if stretch is None:
             t = times[j]
@@ -559,16 +553,13 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         np.add.accumulate(steps, axis=0, out=states[j:stop])
         x = states[stop - 1]
         j = stop
-    if plan.failure is not None:
-        step, t, err = plan.failure
-        raise SamplerError(f"forecast failed at step {step} (t={t:g}): {err}") from err
 
     return TrajectoryRecord(
         times=plan.times.copy(),
         states=states,
         features=features,
         flags=plan.flags,
-        fit_count=plan.fit_count * n_blocks,
+        fit_count=config.schedule.nfe * n_blocks if config.forecaster.kind == "spectrum" else 0,
         wall_time=time.perf_counter() - started,
     )
 

@@ -433,6 +433,11 @@ def _stretch(rows, hi, stop, factor):
     return Stretch(stop - len(rows), stop, lo, hi, np.ascontiguousarray(weights[:, lo:]))
 
 
+def forecast_refused(kind, step, t, err):
+    """The error a config with a forecast that cannot be made is refused with, naming the step and time."""
+    return ValueError(f"the {kind} forecast at step {step} (t={t:g}) cannot be made: {err}")
+
+
 def reference_plan(schedule, choice):
     """Run the choice's stateful forecaster once along the schedule on unit feature vectors.
 
@@ -441,7 +446,8 @@ def reference_plan(schedule, choice):
     row.  The spectral forecaster observes empty features instead: its fits'
     folds and forecast weights w depend on the times alone.  This is the
     plan chebcast.sandbox.plan_forecasts computes from the times; it holds
-    NFE unit vectors of length NFE.
+    NFE unit vectors of length NFE.  A forecast the forecaster cannot make
+    refuses the schedule, as forecast_refused.
     """
     n = schedule.n_steps
     dt = 1.0 / n
@@ -450,11 +456,11 @@ def reference_plan(schedule, choice):
     increments[-1] = 1.0 - times[-1]
     forecaster = _make_forecaster(choice)
     if forecaster is None:
-        return ForecastPlan(times, increments, ("actual",) * n, {}, 0, 0)
+        return ForecastPlan(times, increments, ("actual",) * n, {}, 0)
 
     nfe = schedule.nfe
     spectral = isinstance(forecaster, SpectralForecaster)
-    flags, stretches, rows, k, failure = [], [], [], 0, None
+    flags, stretches, rows, k = [], [], [], 0
     for j, t in enumerate(times.tolist()):
         if j + 1 in schedule.full_pass_set:
             if rows:
@@ -472,13 +478,10 @@ def reference_plan(schedule, choice):
             if not np.isfinite(row).all():
                 raise RidgeFitError("forecast weights are non-finite")
         except (ValueError, RidgeFitError) as err:  # a cache too short for the order, or no unique fit
-            failure = (j + 1, t, err)
-            break
+            raise forecast_refused(choice.kind, j + 1, t, err) from err
         rows.append(row)
         flags.append("forecast")
     if rows:
         stretches.append(_stretch(rows, k, len(flags), forecaster.state.factor if spectral else None))
     n_rows = max([1] + [s.hi - s.lo for s in stretches])
-    return ForecastPlan(
-        times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows, forecaster.fit_count, failure
-    )
+    return ForecastPlan(times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,14 +26,12 @@ from chebcast.sandbox import (
     ForecasterChoice,
     FunctionFamily,
     PolynomialChannel,
-    SamplerError,
     SineChannel,
-    SolverConfig,
     benchmark_mixture,
-    run_sampler,
-    sample_initial_latent,
 )
 from chebcast.schedule import ScheduleParams, adaptive_schedule
+
+from oracles import TaylorForecaster
 
 DATA = Path(__file__).parent / "data"
 
@@ -337,15 +336,21 @@ def taylor_raw(schedule, order, window=None):
 # Step 1 is a full pass, so the cache holds warmup entries at the first
 # forecast, or window entries once the window is the smaller.
 TAYLOR_TOO_DEEP = {
-    "warm-up": ({"n_steps": 20, "interval": 4, "warmup": 2}, 2, None, "holds 2 at the first forecast step 3"),
-    "window": ({"n_steps": 20, "interval": 4, "warmup": 5}, 2, 2, "holds 2 at the first forecast step 6"),
+    "warm-up": (
+        {"n_steps": 20, "interval": 4, "warmup": 2}, 2, None,
+        "the taylor forecast at step 3 (t=0.1) cannot be made: order-2 forecast needs 3 cached entries, have 2",
+    ),
+    "window": (
+        {"n_steps": 20, "interval": 4, "warmup": 5}, 2, 2,
+        "the taylor forecast at step 6 (t=0.25) cannot be made: order-2 forecast needs 3 cached entries, have 2",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAYLOR_TOO_DEEP))
 def test_taylor_order_the_cache_cannot_serve_is_config_error(case):
     schedule, order, window, message = TAYLOR_TOO_DEEP[case]
-    with pytest.raises(ConfigError, match=f"taylor order 2 needs 3 cached entries, but the cache {message}"):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(taylor_raw(schedule, order, window))
     # one entry deeper, or one order lower, is served
     parse_config(taylor_raw(schedule, order - 1, window))
@@ -354,13 +359,12 @@ def test_taylor_order_the_cache_cannot_serve_is_config_error(case):
 
 
 def test_cli_simulate_taylor_order_too_deep_exit_code(tmp_path):
-    schedule, order, window, _ = TAYLOR_TOO_DEEP["warm-up"]
+    schedule, order, window, message = TAYLOR_TOO_DEEP["warm-up"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(taylor_raw(schedule, order, window)))
     proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
     assert proc.returncode == 2
-    assert "taylor order 2" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: invalid config: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -405,15 +409,50 @@ def test_taylor_config_parses_iff_the_run_serves_every_forecast(n_steps, interva
         config = parse_config(taylor_raw(schedule, order, window))
     except ConfigError:
         config = None
-    choice = ForecasterChoice(kind="taylor", order=order, window=window)
-    solver = SolverConfig(schedule=adaptive_schedule(ScheduleParams(**schedule)), forecaster=choice)
+    # the stateful forecaster, observing the function family's features along the schedule
     spec = GOLDEN["function_family_config.json"]().spec
-    try:
-        run_sampler(spec, solver, sample_initial_latent(spec.dim, 3))
-    except SamplerError:
-        assert config is None
-    else:
-        assert config is not None
+    passes = adaptive_schedule(ScheduleParams(**schedule))
+    forecaster = TaylorForecaster(order=order, window=window)
+    served = True
+    for j in range(1, n_steps + 1):
+        t = (j - 1) / n_steps
+        if passes.is_full_pass(j):
+            forecaster.observe(t, spec.features(t))
+            continue
+        try:
+            forecaster.predict(t)
+        except ValueError:
+            served = False
+            break
+    assert (config is not None) == served
+
+
+def test_cli_simulate_non_finite_feature_exit_code(tmp_path):
+    raw = GOLDEN["function_family_config.json"]().to_dict()
+    raw["spec"]["channels"][2]["rate"] = 1000.0  # 0.5 * exp(1000 t) overflows at the pass at t = 0.9
+    raw["forecaster"] = {"kind": "spectrum"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: observe failed at step 19 (t=0.9): feature at t=0.9 has non-finite entries"]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("x", "error: --values: could not convert string to float: 'x'"),
+        ("-1", "error: --values: regularization strength must be finite and >= 0, got -1.0"),
+    ],
+    ids=["not-a-number", "negative-lambda"],
+)
+def test_cli_sweep_invalid_value_exit_code(tmp_path, values, message):
+    proc = run_cli("sweep", "--axis", "lambda", "--values", values, "--output-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == message + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_invalid_value_exit_code(tmp_path):

@@ -30,7 +30,14 @@ from chebcast.config import load_config
 from chebcast.sandbox import plan_forecasts
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
-from oracles import SpectralConfig, SpectralForecaster, TaylorForecaster, mc_velocity_single_gaussian, reference_plan
+from oracles import (
+    SpectralConfig,
+    SpectralForecaster,
+    TaylorForecaster,
+    forecast_refused,
+    mc_velocity_single_gaussian,
+    reference_plan,
+)
 
 
 def single_gaussian(mean, variance, dim):
@@ -180,22 +187,19 @@ def test_flags_follow_schedule():
 
 
 def test_forecaster_error_carries_step_index():
-    spec = single_gaussian(0.0, 1.0, 2)
     schedule = uniform_schedule(20, 6, 1)  # first forecast at step 2, cache depth 1
-    config = SolverConfig(schedule, ForecasterChoice(kind="taylor", order=3))
-    with pytest.raises(SamplerError, match="step 2"):
-        run_sampler(spec, config, np.zeros(2))
+    with pytest.raises(ValueError, match=r"taylor forecast at step 2 \(t=0.05\) cannot be made"):
+        SolverConfig(schedule, ForecasterChoice(kind="taylor", order=3))
 
 
 def test_rank_deficient_fit_fails_at_the_forecast_step():
     # 10,000 steps of 1e-4 and 12 warm-up passes: degree 8 at lambda=0 on
     # times within 0.0011 of each other, which the rank check refuses.  The
-    # passes only fold their rows in, so the first forecast, step 13, fails.
-    spec = FunctionFamily(channels=(PolynomialChannel((0.5, -1.0, 2.0)),))
+    # passes only fold their rows in, so the first forecast, step 13, fails,
+    # and the config is refused before any pass.
     schedule = adaptive_schedule(ScheduleParams(n_steps=10_000, interval=5_000, warmup=12))
-    config = SolverConfig(schedule, ForecasterChoice(kind="spectrum", degree=8, lam=0.0))
-    with pytest.raises(SamplerError, match=r"forecast failed at step 13 \(t=0.0012\).*rank-deficient"):
-        run_sampler(spec, config, np.zeros(1))
+    with pytest.raises(ValueError, match=r"spectrum forecast at step 13 \(t=0.0012\) cannot be made.*rank-deficient"):
+        SolverConfig(schedule, ForecasterChoice(kind="spectrum", degree=8, lam=0.0))
 
 
 class _NanAfter(BlockStack):
@@ -264,30 +268,43 @@ def test_last_block_caching_close_to_per_block_with_fewer_fits():
         assert rmse_last <= 1.2 * rmse_per
 
 
-def per_block_reference(spec, config, x0):
-    """Per-block caching with one independent spectral forecaster per block."""
-    choice = config.forecaster
+def per_block_reference(spec, schedule, choice, x0):
+    """Per-block caching with one independent spectral forecaster per block.
+
+    A forecast the forecasters cannot make raises forecast_refused.
+    """
     spectral = SpectralConfig(degree=choice.degree, lam=choice.lam)
     per_block = [SpectralForecaster(spectral, window=choice.window) for _ in range(spec.n_blocks)]
-    n = config.n_steps
+    n = schedule.n_steps
     dt = 1.0 / n
     x = np.asarray(x0, dtype=float)
     states, features = [], []
     for j in range(1, n + 1):
         t = (j - 1) * dt
-        if config.schedule.is_full_pass(j):
+        if schedule.is_full_pass(j):
             stages = spec.stage_outputs(t)
             for b, fc in enumerate(per_block):
                 fc.observe(t, stages[b + 1] - stages[b])
             h = stages[-1]
         else:
             h = spec.base_feature(t)
-            for fc in per_block:
-                h = h + fc.predict(t)
+            try:
+                for fc in per_block:
+                    h = h + fc.predict(t)
+            except (ValueError, RidgeFitError) as err:
+                raise forecast_refused(choice.kind, j, t, err) from err
         x = x + ((t + dt if j < n else 1.0) - t) * h  # the Euler step
         states.append(x)
         features.append(h)
     return np.array(states), np.array(features), sum(fc.fit_count for fc in per_block)
+
+
+def assert_refused_alike(schedule, choice, err):
+    """The reference's refusal err is what SolverConfig, through plan_forecasts, raises: message and cause type."""
+    with pytest.raises(ValueError) as raised:
+        SolverConfig(schedule, choice)
+    assert str(raised.value) == str(err)
+    assert type(raised.value.__cause__) is type(err.__cause__)
 
 
 def assert_relative_close(actual, expected, rtol):
@@ -313,7 +330,7 @@ def test_stacked_per_block_matches_independent_forecasters(schedule, choice):
     spec = BlockStack(n_blocks=3, width=16, gain=1.5, seed=4)
     x0 = sample_initial_latent(spec.dim, 8)
     run = run_sampler(spec, SolverConfig(schedule, choice), x0)
-    states, features, fit_count = per_block_reference(spec, SolverConfig(schedule, choice), x0)
+    states, features, fit_count = per_block_reference(spec, schedule, choice, x0)
     assert_relative_close(run.features, features, 1e-12)
     assert_relative_close(run.states, states, 1e-12)
     assert run.fit_count == fit_count == spec.n_blocks * schedule.nfe
@@ -338,19 +355,18 @@ def test_per_block_matches_independent_forecasters(
 ):
     spec = BlockStack(n_blocks=n_blocks, width=width, gain=gain, mixing=mixing, seed=4)
     choice = ForecasterChoice(kind="spectrum", degree=degree, lam=lam, window=window, cache_scope="per_block")
-    config = SolverConfig(uniform_schedule(n_steps, interval, min(warmup, n_steps)), choice)
+    schedule = uniform_schedule(n_steps, interval, min(warmup, n_steps))
     x0 = sample_initial_latent(spec.dim, 8)
     try:
-        states, features, fit_count = per_block_reference(spec, config, x0)
-    except (ValueError, RidgeFitError):
-        with pytest.raises(SamplerError):
-            run_sampler(spec, config, x0)
+        states, features, fit_count = per_block_reference(spec, schedule, choice, x0)
+    except ValueError as err:
+        assert_refused_alike(schedule, choice, err)
         return
-    run = run_sampler(spec, config, x0)
+    run = run_sampler(spec, SolverConfig(schedule, choice), x0)
     scale = 1e-12 * max(1.0, np.max(np.abs(features)))
     assert np.max(np.abs(run.features - features)) <= scale
     assert np.max(np.abs(run.states - states)) <= scale
-    assert run.fit_count == fit_count == spec.n_blocks * config.schedule.nfe
+    assert run.fit_count == fit_count == spec.n_blocks * schedule.nfe
 
 
 def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
@@ -429,20 +445,20 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
         raise AssertionError("a run must only read its plan")
 
     # every name the plan computes its weights and folds through
-    for name in ("basis_row", "basis_matrix", "fold_rows", "spectral_triangle", "spectral_weights", "taylor_weights"):
+    for name in ("basis_matrix", "fold_rows", "spectral_triangle", "spectral_weights", "taylor_weights"):
         monkeypatch.setattr(sandbox, name, forbidden)
     for config in configs:
         run = run_sampler(spec, config, sample_initial_latent(spec.dim, 1))
         assert "forecast" in run.flags
 
 
-def stepwise_reference(spec, config, x0):
+def stepwise_reference(spec, schedule, choice, x0):
     """The sampler as one loop over the steps: observe, predict and an Euler step at each.
 
     Per-block caching keeps one independent spectral forecaster per block, as
-    per_block_reference does.
+    per_block_reference does.  A forecast the forecasters cannot make raises
+    forecast_refused.
     """
-    choice = config.forecaster
     per_block = choice.cache_scope == "per_block"
     if choice.kind == "spectrum":
         forecasters = [
@@ -451,13 +467,13 @@ def stepwise_reference(spec, config, x0):
         ]
     else:  # naive reuse is Taylor order 0
         forecasters = [TaylorForecaster(order=choice.order if choice.kind == "taylor" else 0, window=choice.window)]
-    n = config.n_steps
+    n = schedule.n_steps
     dt = 1.0 / n
     x = np.asarray(x0, dtype=float)
     states, features, flags = [], [], []
     for j in range(1, n + 1):
         t = (j - 1) * dt
-        if config.schedule.is_full_pass(j):
+        if schedule.is_full_pass(j):
             if per_block:
                 stages = spec.stage_outputs(t)
                 h, targets = stages[-1], [stages[b + 1] - stages[b] for b in range(spec.n_blocks)]
@@ -478,8 +494,8 @@ def stepwise_reference(spec, config, x0):
                         h = h + fc.predict(t)
                 else:
                     h = forecasters[0].predict(t)
-            except Exception as err:
-                raise SamplerError(f"forecast failed at step {j} (t={t:g}): {err}") from err
+            except (ValueError, RidgeFitError) as err:
+                raise forecast_refused(choice.kind, j, t, err) from err
             flags.append("forecast")
         x = x + ((t + dt if j < n else 1.0) - t) * h  # the Euler step
         states.append(x)
@@ -516,16 +532,13 @@ def test_planned_run_matches_the_stepwise_run(
         cache_scope="per_block" if per_block else "last_block",
     )
     schedule = adaptive_schedule(ScheduleParams(n_steps, interval, min(warmup, n_steps), alpha))
-    config = SolverConfig(schedule, choice)
     x0 = sample_initial_latent(spec.dim, 8)
     try:
-        states, features, flags, fit_count = stepwise_reference(spec, config, x0)
-    except SamplerError as err:
-        with pytest.raises(SamplerError) as raised:
-            run_sampler(spec, config, x0)
-        assert str(raised.value) == str(err)
+        states, features, flags, fit_count = stepwise_reference(spec, schedule, choice, x0)
+    except ValueError as err:
+        assert_refused_alike(schedule, choice, err)
         return
-    run = run_sampler(spec, config, x0)
+    run = run_sampler(spec, SolverConfig(schedule, choice), x0)
     assert run.flags == flags
     assert run.fit_count == fit_count
     if kind in ("naive", "spectrum"):  # the forecasters' own products, in their order
@@ -538,11 +551,11 @@ def test_planned_run_matches_the_stepwise_run(
 
 
 def assert_same_plan(plan, reference):
-    """Every field of two plans equal, the floats bitwise, the failure by step, time, type and message."""
+    """Every field of two plans equal, the floats bitwise."""
     assert np.array_equal(plan.times, reference.times)
     assert np.array_equal(plan.increments, reference.increments)
     assert plan.flags == reference.flags
-    assert (plan.n_rows, plan.fit_count) == (reference.n_rows, reference.fit_count)
+    assert plan.n_rows == reference.n_rows
     assert list(plan.stretches) == list(reference.stretches)
     for got, want in zip(plan.stretches.values(), reference.stretches.values()):
         assert (got.start, got.stop, got.lo, got.hi) == (want.start, want.stop, want.lo, want.hi)
@@ -553,10 +566,6 @@ def assert_same_plan(plan, reference):
         if got.fold is not None:
             assert got.fold.shape == want.fold.shape
             assert got.fold.tobytes() == want.fold.tobytes()
-    assert (plan.failure is None) == (reference.failure is None)
-    if plan.failure is not None:
-        (step, t, err), (want_step, want_t, want_err) = plan.failure, reference.failure
-        assert (step, t, type(err), str(err)) == (want_step, want_t, type(want_err), str(want_err))
 
 
 @settings(max_examples=200, deadline=None)
@@ -585,7 +594,12 @@ def test_plan_from_the_times_is_bitwise_the_reference_plan(
     """plan_forecasts, from the times alone, against the stateful forecasters run on unit feature vectors."""
     schedule = adaptive_schedule(ScheduleParams(n_steps, interval, min(warmup, n_steps), alpha))
     choice = ForecasterChoice(kind=kind, order=order, degree=degree, lam=lam, window=window)
-    assert_same_plan(plan_forecasts(schedule, choice), reference_plan(schedule, choice))
+    try:
+        reference = reference_plan(schedule, choice)
+    except ValueError as err:
+        assert_refused_alike(schedule, choice, err)
+        return
+    assert_same_plan(plan_forecasts(schedule, choice), reference)
 
 
 @pytest.mark.parametrize("kind", ["taylor", "naive"])
@@ -595,11 +609,10 @@ def test_local_planning_memory_is_linear_in_nfe(kind):
     schedule = uniform_schedule(2000, 2, 5)  # NFE 1,000
     tracemalloc.start()
     try:
-        plan = plan_forecasts(schedule, ForecasterChoice(kind=kind))
+        plan_forecasts(schedule, ForecasterChoice(kind=kind))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert plan.failure is None
     assert peak < 2 * 2**20
 
 
@@ -685,6 +698,20 @@ def test_forecaster_choice_validation():
         ForecasterChoice(kind="taylor", cache_scope="per_block")
     with pytest.raises(ValueError, match="order"):
         ForecasterChoice(kind="taylor", order=-1)
+
+
+@pytest.mark.parametrize("order", [1.5, True])
+def test_forecaster_choice_rejects_a_fractional_or_bool_order(order):
+    with pytest.raises(ValueError, match=f"taylor order must be an integer >= 0, got {order!r}"):
+        ForecasterChoice(kind="taylor", order=order)
+
+
+def test_forecaster_choice_takes_an_integral_float_order():
+    choice = ForecasterChoice(kind="taylor", order=2.0)
+    assert type(choice.order) is int and choice.order == 2
+    # passes at t = 0, 0.1 and 0.2; forecasts at t = 0.3, ..., 0.9, each weighing all three passes
+    plan = plan_forecasts(uniform_schedule(10, 8, 3), choice)
+    assert plan.stretches[3].weights.shape == (7, 3)
 
 
 def test_velocity_at_unit_time_returns_state():
