@@ -54,8 +54,7 @@ def cmd_schedule(args) -> int:
             ScheduleParams(n_steps=args.n, interval=args.interval, warmup=args.warmup, alpha=args.alpha)
         )
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError(str(err)) from err
     print(schedule.index_line())
     print(f"NFE={schedule.nfe}, speedup={schedule.speedup!r}")
     return 0
@@ -63,16 +62,17 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    out = _output_dir(config.output_dir)
     solver = config.solver_config()
     spec = config.spec
 
     started = time.perf_counter()
-    per_seed = {}
+    runs = {}  # every seed runs before anything is written, so a failed run leaves no output
     for seed in config.seeds:
         x0 = sample_initial_latent(spec.dim, seed)
-        oracle = oracle_run(spec, solver.n_steps, x0)
-        run = run_sampler(spec, solver, x0)
+        runs[seed] = oracle_run(spec, solver.n_steps, x0), run_sampler(spec, solver, x0)
+    out = _output_dir(config.output_dir)
+    per_seed = {}
+    for seed, (oracle, run) in runs.items():
         header = {
             "spec": spec.kind,
             "forecaster": solver.forecaster.kind,
@@ -87,10 +87,11 @@ def cmd_simulate(args) -> int:
             "final_rmse": rmse_vs_oracle(run, oracle, [solver.n_steps])[0],
             "oracle_self_rmse": rmse_vs_oracle(oracle, oracle, [solver.n_steps])[0],
         }
+    nfe = solver.plan.flags.count("actual")  # the passes made, which for the oracle is every step
     summary = {
         "forecaster": solver.forecaster.kind,
-        "nfe": solver.schedule.nfe,
-        "speedup": solver.schedule.speedup,
+        "nfe": nfe,
+        "speedup": solver.n_steps / nfe,
         "per_seed": per_seed,
         "mean_final_rmse": float(np.mean([v["final_rmse"] for v in per_seed.values()])),
     }

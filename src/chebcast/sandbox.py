@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import basis_matrix
 from .forecasters import spectral_triangle, spectral_weights, taylor_weights
-from .ridge import RidgeFactor, RidgeFitError, fold_rows, rotate_features
+from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, rotate_features
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -36,7 +36,7 @@ CACHE_SCOPES = ("last_block", "per_block")
 
 
 class SamplerError(RuntimeError):
-    """A non-finite feature at an actual pass of a sampling run, annotated with the step index."""
+    """A non-finite feature at an actual pass of a sampling run, annotated with the run's kind and the step."""
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ class ForecasterChoice:
     kind: str
     order: int = 1
     degree: int = 4
-    lam: float = 0.1
+    lam: float = DEFAULT_LAMBDA
     window: int | None = None
     cache_scope: str = "last_block"
 
@@ -267,11 +267,13 @@ class ForecasterChoice:
         lam = float(self.lam)
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"regularization strength must be finite and >= 0, got {lam}")
-        if self.window is not None and self.window < 1:
-            raise ValueError(f"cache window must be >= 1, got {self.window}")
+        window = None if self.window is None else _count(self.window, "cache window")
+        if window == 0:  # _count refused the negatives
+            raise ValueError(f"cache window must be >= 1, got {window}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "window", window)
 
 
 def _count(value, what: str) -> int:
@@ -320,7 +322,7 @@ class ForecastPlan:
     increments: np.ndarray  # (N,) Euler step lengths: (t_j + 1/N) - t_j, and 1 - t_N at the last step
     flags: tuple[str, ...]
     stretches: dict[int, Stretch]  # keyed by their first step
-    n_rows: int  # newest passes a run keeps: the most a stretch reads (>= 1), or 0 for the oracle
+    n_rows: int  # newest passes a run keeps: the most a stretch reads, and at least 1
 
 
 def _stretch(rows: list, hi: int, stop: int, fit: RidgeFactor | None) -> Stretch:
@@ -361,8 +363,8 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
     passes.  A spectral forecast first folds the passes new since the last
     forecast into the fit (see _spectral_fit), then takes its w from
     spectral_weights on the fit's leading triangle; a run carries the
-    passes through those folds itself.  The oracle kind plans a full pass
-    at every step regardless of the schedule.  A forecast that cannot be
+    passes through those folds itself.  The oracle kind marks every step
+    actual regardless of the schedule.  A forecast that cannot be
     made (a cache too short for the order, or no unique fit) raises
     ValueError, naming its step and time.
     """
@@ -371,9 +373,6 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
     times = np.arange(n) * dt
     increments = (times + dt) - times
     increments[-1] = 1.0 - times[-1]
-    if choice.kind == "oracle":
-        return ForecastPlan(times, increments, ("actual",) * n, {}, 0)
-
     spectral = choice.kind == "spectrum"
     order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
     window = choice.window or n
@@ -381,7 +380,7 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
     flags, stretches, rows = [], [], []
     fit, triangle = None, None  # triangle is None while passes wait to be folded into fit
     for j, t in enumerate(times.tolist()):
-        if j + 1 in schedule.full_pass_set:
+        if choice.kind == "oracle" or j + 1 in schedule.full_pass_set:
             if rows:
                 stretches.append(_stretch(rows, len(passes), j, fit))
                 rows = []
@@ -480,8 +479,10 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     increments.  A spectral stretch first carries the passes new since the
     last one through the fit's planned fold, then forecasts each step as
     the forecaster would, w @ Q^T H, so it matches observe/predict bitwise.
-    The oracle kind performs a full pass at every step regardless of the
-    schedule and is the reference trajectory for RMSE comparisons.
+    The oracle kind's plan makes every step an actual pass; it is the
+    reference trajectory for RMSE comparisons.  A non-finite feature at any
+    actual pass, the oracle's included, raises SamplerError naming the
+    run's kind, the step and its time.
 
     Last-block caching caches the output feature h.  Per-block caching
     (block_stack only) caches every block's residual y_b - y_(b-1) and
@@ -517,13 +518,11 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             else:
                 stages = spec.stage_outputs(t)
                 h, target = stages[-1], np.diff(stages, axis=0)  # y_b - y_(b-1), one row a block
-            if plan.n_rows:
-                if not np.isfinite(target).all():
-                    raise SamplerError(
-                        f"observe failed at step {j + 1} (t={t:g}): feature at t={t:g} has non-finite entries"
-                    )
-                passes[k % plan.n_rows] = target
-                k += 1
+            if not np.isfinite(target).all():
+                raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
+                                   f"feature at t={t:g} has non-finite entries")
+            passes[k % plan.n_rows] = target
+            k += 1
             x = x + increments[j] * h
             states[j] = x
             features[j] = h

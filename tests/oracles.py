@@ -456,7 +456,7 @@ def reference_plan(schedule, choice):
     increments[-1] = 1.0 - times[-1]
     forecaster = _make_forecaster(choice)
     if forecaster is None:
-        return ForecastPlan(times, increments, ("actual",) * n, {}, 0)
+        return ForecastPlan(times, increments, ("actual",) * n, {}, 1)
 
     nfe = schedule.nfe
     spectral = isinstance(forecaster, SpectralForecaster)

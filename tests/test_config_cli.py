@@ -151,7 +151,7 @@ def test_cli_schedule_degenerate():
 def test_cli_schedule_invalid_flags():
     proc = run_cli("schedule", "--n", "50", "--interval", "0", "--warmup", "1")
     assert proc.returncode == 2
-    assert "interval" in proc.stderr
+    assert proc.stderr == "error: interval must be >= 1, got 0\n"
 
 
 def test_cli_bounds_unknown_suite():
@@ -429,7 +429,9 @@ def test_taylor_config_parses_iff_the_run_serves_every_forecast(n_steps, interva
 
 def test_cli_simulate_non_finite_feature_exit_code(tmp_path):
     raw = GOLDEN["function_family_config.json"]().to_dict()
-    raw["spec"]["channels"][2]["rate"] = 1000.0  # 0.5 * exp(1000 t) overflows at the pass at t = 0.9
+    # 0.5 * exp(1000 t) overflows from t = 0.75 on: the spectral run's pass at t = 0.9 would fail, but the
+    # reference oracle run, which makes every pass, runs first and fails at step 16
+    raw["spec"]["channels"][2]["rate"] = 1000.0
     raw["forecaster"] = {"kind": "spectrum"}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
@@ -437,7 +439,19 @@ def test_cli_simulate_non_finite_feature_exit_code(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-    assert errors == ["error: observe failed at step 19 (t=0.9): feature at t=0.9 has non-finite entries"]
+    assert errors == ["error: oracle run: observe failed at step 16 (t=0.75): feature at t=0.75 has non-finite entries"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_oracle_config_counts_every_pass(tmp_path):
+    raw = GOLDEN["function_family_config.json"]().to_dict()
+    raw["forecaster"] = {"kind": "oracle"}  # on the configured schedule of 20 steps, interval 4
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["nfe"], summary["speedup"]) == (20, 1.0)
 
 
 @pytest.mark.parametrize(

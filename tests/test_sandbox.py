@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from chebcast import (
     BlockStack,
+    ExponentialChannel,
     ForecasterChoice,
     FunctionFamily,
     GaussianMixtureFlow,
@@ -219,6 +220,15 @@ def test_non_finite_feature_fails_at_its_step(scope):
     # t = (j-1)/20 >= 0.3 first at step 7, an actual pass of the interval-2 schedule
     with pytest.raises(SamplerError, match=r"observe failed at step 7 \(t=0.3\).*non-finite"):
         run_sampler(spec, config, np.zeros(3))
+
+
+def test_oracle_run_checks_every_pass():
+    spec = FunctionFamily(channels=(PolynomialChannel((1.0, -0.5)), ExponentialChannel(0.5, 1000.0)))
+    # 0.5 * exp(1000 t) overflows from t = 0.75 on, step 16 of 20
+    with np.errstate(over="ignore"), pytest.raises(
+        SamplerError, match=r"^oracle run: observe failed at step 16 \(t=0.75\): feature at t=0.75 has non-finite"
+    ):
+        oracle_run(spec, 20, np.zeros(2))
 
 
 def test_rmse_identical_runs_is_zero():
@@ -698,12 +708,21 @@ def test_forecaster_choice_validation():
         ForecasterChoice(kind="taylor", cache_scope="per_block")
     with pytest.raises(ValueError, match="order"):
         ForecasterChoice(kind="taylor", order=-1)
+    with pytest.raises(ValueError, match="cache window must be >= 1, got 0"):
+        ForecasterChoice(kind="spectrum", window=0)
 
 
 @pytest.mark.parametrize("order", [1.5, True])
 def test_forecaster_choice_rejects_a_fractional_or_bool_order(order):
     with pytest.raises(ValueError, match=f"taylor order must be an integer >= 0, got {order!r}"):
         ForecasterChoice(kind="taylor", order=order)
+
+
+@pytest.mark.parametrize("kind", ["taylor", "spectrum"])
+@pytest.mark.parametrize("window", [2.5, True])
+def test_forecaster_choice_rejects_a_fractional_or_bool_window(kind, window):
+    with pytest.raises(ValueError, match=f"cache window must be an integer >= 0, got {window!r}"):
+        ForecasterChoice(kind=kind, window=window)
 
 
 def test_forecaster_choice_takes_an_integral_float_order():
