@@ -40,25 +40,15 @@ def eval_cheb(m: int, tau: float) -> float:
 
 
 def basis_row(degree: int, tau: float) -> np.ndarray:
-    """Row vector [T_0(tau), ..., T_degree(tau)], length degree + 1."""
-    tau = float(tau)
-    if not abs(tau) <= 1.0 + TAU_SLACK:  # NaN compares false, so it is outside
-        raise ValueError(f"projected time must lie in [-1, 1], got {tau}")
-    return np.array(recurrence_row(_check_degree(degree), min(1.0, max(-1.0, tau))))
-
-
-def recurrence_row(degree: int, tau: float) -> list[float]:
-    """basis_row as a list, without its checks, for an int degree >= 0 and a float tau in [-1, 1]."""
-    row = [1.0, tau]
-    for _ in range(2, degree + 1):
-        row.append(2.0 * tau * row[-1] - row[-2])
-    return row[: degree + 1]
+    """Row vector [T_0(tau), ..., T_degree(tau)], length degree + 1: the one row of basis_matrix."""
+    return basis_matrix(degree, float(tau))[0]
 
 
 def basis_matrix(degree: int, taus) -> np.ndarray:
     """Stack of basis rows, shape (len(taus), degree + 1).
 
-    Vectorized over taus; same recurrence as basis_row applied columnwise.
+    Vectorized over taus: the recurrence runs columnwise, so the first
+    columns are bitwise the matrix of a lower degree.
     """
     degree = _check_degree(degree)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))

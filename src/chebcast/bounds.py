@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EllipseBound, project_time, truncation_bound
+from .basis import EllipseBound, basis_matrix, project_time, truncation_bound
 from .forecasters import spectral_triangle, spectral_weights
 from .ridge import RidgeFactor, build_design, fold_rows, min_singular, solve_ridge
 
@@ -199,13 +199,12 @@ def verify_spectral_bound(
     eps_m = truncation_bound(ellipse, degree)
     bound = spectral_bound(eps_m, degree, n_nodes, sigma, lam, ellipse)
 
-    t_anchor = float(nodes[-1])
     gaps = tuple(float(g) for g in gaps)
-    errors = []
-    for gap in gaps:
-        t_query = t_anchor + gap
-        pred = (spectral_weights(triangle, t_query) @ fit.qth[: len(triangle)])[0]
-        errors.append(float(abs(channel(t_query) - pred)))
+    t_queries = [float(nodes[-1]) + gap for gap in gaps]
+    taus = [project_time(t) for t in t_queries]
+    weights = spectral_weights(triangle, basis_matrix(len(triangle) - 1, taus))
+    # one w @ Q^T H product a gap, as the forecaster makes them
+    errors = [float(abs(channel(t) - (w @ fit.qth[: len(w)])[0])) for t, w in zip(t_queries, weights)]
     contained = bool(all(err <= bound for err in errors))
     # An exact fit (a polynomial channel at lambda = 0) can forecast some gap
     # with zero error, where the ratio has no finite value.

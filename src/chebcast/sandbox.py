@@ -267,20 +267,18 @@ class ForecasterChoice:
         lam = float(self.lam)
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"regularization strength must be finite and >= 0, got {lam}")
-        window = None if self.window is None else _count(self.window, "cache window")
-        if window == 0:  # _count refused the negatives
-            raise ValueError(f"cache window must be >= 1, got {window}")
+        window = None if self.window is None else _count(self.window, "cache window", least=1)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "window", window)
 
 
-def _count(value, what: str) -> int:
-    """value as an int >= 0; a bool or a number with a fractional part is an error, not truncated."""
+def _count(value, what: str, least: int = 0) -> int:
+    """value as an int >= least; a bool or a number with a fractional part is an error, not truncated."""
     integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 0:
-        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    if isinstance(value, bool) or not integral or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -312,10 +310,10 @@ class ForecastPlan:
 
     Each forecaster is linear in its cached features, with weights fixed by
     the step times and its hyperparameters alone, so the plan is computed
-    from the times: taylor_weights for each Taylor or naive forecast, and
-    for the spectral fit its folds and each forecast's w, which need no
-    features at all.  A plan is always complete: plan_forecasts refuses a
-    schedule with a forecast it cannot make.
+    from the times: for each stretch, taylor_weights for its Taylor or
+    naive forecasts, or the spectral fit's fold and its forecasts' w, which
+    need no features at all.  A plan is always complete: plan_forecasts
+    refuses a schedule with a forecast it cannot make.
     """
 
     times: np.ndarray       # (N,) t_j = (j-1)/N
@@ -325,86 +323,65 @@ class ForecastPlan:
     n_rows: int  # newest passes a run keeps: the most a stretch reads, and at least 1
 
 
-def _stretch(rows: list, hi: int, stop: int, fit: RidgeFactor | None) -> Stretch:
-    """The stretch of the weight rows that ends before step stop and reads passes up to hi - 1.
-
-    Rows without a fit weigh the newest passes; fit, the spectral fit the
-    rows were solved on, makes a stretch over the passes its fold took in.
-    """
-    weights = np.array(rows)
-    if fit is None:
-        return Stretch(stop - len(rows), stop, hi - weights.shape[1], hi, weights)
-    folded = fit.q.shape[0] - fit.q.shape[1]
-    return Stretch(stop - len(rows), stop, hi - folded, hi, weights, fit.q, fit.n_points == folded)
-
-
-def _spectral_fit(passes: list[float], fit: RidgeFactor | None, choice: ForecasterChoice, window: int):
-    """The spectral fit to the cached passes, and its leading triangle.
-
-    The basis rows of the passes new since fit are folded into it; after a
-    window eviction, or without fit, the whole window is folded from the
-    prior rows alone.
-    """
-    k, degree = len(passes), choice.degree
-    if fit is not None and k <= window:  # nothing evicted: fold in the new passes only
-        new = k - fit.n_points
-    else:
-        new, fit = min(k, window), RidgeFactor.empty(choice.lam, degree + 1, 0)
-    # project_time, vectorized; basis_matrix checks the range
-    rows = basis_matrix(degree, 2.0 * np.asarray(passes[k - new:]) - 1.0)
-    fit = fold_rows(fit, rows, np.empty((new, 0)))  # the fold depends on the rows alone
-    return fit, spectral_triangle(fit, degree)
-
-
 def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:
-    """Compute the weights of every forecast of the schedule from the step times.
+    """Compute the weights of every forecast of the schedule from the step times, a stretch at a time.
 
-    A Taylor or naive forecast is taylor_weights over the newest order+1
-    passes.  A spectral forecast first folds the passes new since the last
-    forecast into the fit (see _spectral_fit), then takes its w from
-    spectral_weights on the fit's leading triangle; a run carries the
-    passes through those folds itself.  The oracle kind marks every step
-    actual regardless of the schedule.  A forecast that cannot be
-    made (a cache too short for the order, or no unique fit) raises
-    ValueError, naming its step and time.
+    A Taylor or naive stretch is one taylor_weights call over the newest
+    order+1 passes.  A spectral stretch first folds the basis rows of the
+    passes new since the last stretch into the fit (the whole window
+    afresh after an eviction), then takes its forecasts' w from one
+    spectral_weights call on the fit's leading triangle; the basis rows
+    come from one basis_matrix over all the step times, and a run carries
+    the passes through those folds itself.  The oracle kind marks every
+    step actual regardless of the schedule.  A forecast that cannot be made
+    (a cache too short for the order, or no unique fit) raises ValueError,
+    naming its step and time.
     """
     n = schedule.n_steps
     dt = 1.0 / n
     times = np.arange(n) * dt
     increments = (times + dt) - times
     increments[-1] = 1.0 - times[-1]
+    if choice.kind == "oracle":
+        return ForecastPlan(times, increments, ("actual",) * n, {}, 1)
     spectral = choice.kind == "spectrum"
     order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
     window = choice.window or n
-    passes: list[float] = []  # the times of the actual passes so far
-    flags, stretches, rows = [], [], []
-    fit, triangle = None, None  # triangle is None while passes wait to be folded into fit
-    for j, t in enumerate(times.tolist()):
-        if choice.kind == "oracle" or j + 1 in schedule.full_pass_set:
-            if rows:
-                stretches.append(_stretch(rows, len(passes), j, fit))
-                rows = []
-            passes.append(t)
-            triangle = None
-            flags.append("actual")
+    passes = schedule.full_pass_indices  # 1-based, so each is also the 0-based step after it
+    flags = ["forecast"] * n
+    for j in passes:
+        flags[j - 1] = "actual"
+    steps = np.array(passes) - 1
+    if spectral:  # project_time, vectorized; basis_matrix checks the range
+        phi = basis_matrix(choice.degree, 2.0 * times - 1.0)
+        pass_rows, fit = phi[steps], None
+    else:
+        pass_times = times[steps]
+    stretches = {}
+    for k, (start, stop) in enumerate(zip(passes, [j - 1 for j in passes[1:]] + [n]), start=1):
+        if start == stop:
             continue
         try:
-            if not spectral:
-                row = taylor_weights(passes[-min(window, order + 1):], t, order)
+            if spectral:
+                if fit is None or k > window:  # fold the whole window afresh, from the prior rows alone
+                    fit = RidgeFactor.empty(choice.lam, choice.degree + 1, 0)
+                new = min(k, window) - fit.n_points
+                fit = fold_rows(fit, pass_rows[k - new:k], np.empty((new, 0)))  # the fold depends on the rows alone
+                triangle = spectral_triangle(fit, choice.degree)
+                weights = spectral_weights(triangle, phi[start:stop, :len(triangle)])
+                stretch = Stretch(start, stop, k - new, k, weights, fit.q, fit.n_points == new)
             else:
-                if triangle is None:
-                    fit, triangle = _spectral_fit(passes, fit, choice, window)
-                row = spectral_weights(triangle, t)
-            if not np.isfinite(row).all():
+                weights = taylor_weights(pass_times[max(0, k - min(window, order + 1)):k], times[start:stop], order)
+                stretch = Stretch(start, stop, k - order - 1, k, weights)
+            if not np.isfinite(weights).all():
+                start += int(np.isfinite(weights).all(axis=1).argmin())  # the first forecast that cannot be made
                 raise RidgeFitError("forecast weights are non-finite")
         except (ValueError, RidgeFitError) as err:  # a cache too short for the order, or no unique fit
-            raise ValueError(f"the {choice.kind} forecast at step {j + 1} (t={t:g}) cannot be made: {err}") from err
-        rows.append(row)
-        flags.append("forecast")
-    if rows:
-        stretches.append(_stretch(rows, len(passes), len(flags), fit))
-    n_rows = max([1] + [s.hi - s.lo for s in stretches])
-    return ForecastPlan(times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows)
+            raise ValueError(f"the {choice.kind} forecast at step {start + 1} (t={times[start]:g}) "
+                             f"cannot be made: {err}") from err
+        stretches[start] = stretch
+    n_rows = max([1] + [s.hi - s.lo for s in stretches.values()])
+    return ForecastPlan(times, increments, tuple(flags), stretches, n_rows)
 
 
 @dataclass(frozen=True)
@@ -615,7 +592,6 @@ def trajectory_to_csv(record: TrajectoryRecord, path, header: dict, oracle: Traj
 # ---------------------------------------------------------------------------
 
 BENCHMARK_SEEDS = (7051, 7093, 7040, 7032, 7071)
-BENCHMARK_CHECKPOINTS = (10, 20, 30, 40, 50)
 
 
 def benchmark_mixture() -> GaussianMixtureFlow:
@@ -672,7 +648,7 @@ def sweep_report(axis: str, values, n_steps: int = 50, seeds=BENCHMARK_SEEDS, sp
             choice = ForecasterChoice(kind="spectrum", lam=float(value))
         elif axis == "degree":
             schedule = _benchmark_schedule(3.0, n_steps)
-            choice = ForecasterChoice(kind="spectrum", degree=int(value))
+            choice = ForecasterChoice(kind="spectrum", degree=value)  # refuses a fractional degree
         else:
             schedule = _benchmark_schedule(float(value), n_steps)
             choice = ForecasterChoice(kind="spectrum")

@@ -294,11 +294,10 @@ class SpectralState:
         return solve_leading(self.factor, self.degree + 1)
 
     @cached_property
-    def triangle(self) -> tuple[list[list[float]], np.ndarray]:
-        """The leading triangle's columns R[:i+1, i] as floats, and the rows of Q^T H it solves for."""
+    def triangle(self) -> tuple[np.ndarray, np.ndarray]:
+        """The leading triangle of R, and the rows of Q^T H it solves for."""
         n = self.degree + 1
-        cols = leading_triangle(self.factor, n).T.tolist()
-        return [col[: i + 1] for i, col in enumerate(cols)], self.factor.qth[:n]
+        return leading_triangle(self.factor, n), self.factor.qth[:n]
 
 
 def spectral_fit(
@@ -331,6 +330,14 @@ def spectral_fit(
     return SpectralState(factor=fold_rows(factor, rows, H), degree=degree, fitted_at=t)
 
 
+def forecast_weights(triangle: np.ndarray, t: float) -> np.ndarray:
+    """The w with R^T w = phi(2t-1): spectral_weights for the one forecast at t, checked as a plan checks it."""
+    w = spectral_weights(triangle, basis_row(len(triangle) - 1, project_time(t))[None])[0]
+    if not np.isfinite(w).all():
+        raise RidgeFitError("forecast weights are non-finite")
+    return w
+
+
 def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
     """Evaluate the fitted series at timestep t: phi(2t-1) @ C, without forming C.
 
@@ -338,8 +345,8 @@ def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
     chebcast.forecasters.spectral_weights), then a single product with the
     F-wide Q^T H.
     """
-    cols, qth = state.triangle
-    return spectral_weights(cols, t).dot(qth)
+    triangle, qth = state.triangle
+    return forecast_weights(triangle, t).dot(qth)
 
 
 class TaylorForecaster:
@@ -397,7 +404,7 @@ class SpectralForecaster:
 
     def weights(self, t: float) -> np.ndarray:
         """The w with predict(t) = w @ the leading len(w) rows of state.factor.qth."""
-        return spectral_weights(self._fitted().triangle[0], t)
+        return forecast_weights(self._fitted().triangle[0], t)
 
     def _fitted(self) -> SpectralState:
         state = self.state

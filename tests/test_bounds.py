@@ -121,7 +121,7 @@ def test_polynomial_channel_trivial_containment():
 # fits stay in ridge and forecasters and bounds stays pure math: no sampler.
 LAYERS = {
     "ridge": {"basis"},
-    "forecasters": {"basis", "ridge"},
+    "forecasters": {"ridge"},
     "bounds": {"basis", "forecasters", "ridge"},
 }
 

@@ -454,16 +454,30 @@ def test_cli_simulate_oracle_config_counts_every_pass(tmp_path):
     assert (summary["nfe"], summary["speedup"]) == (20, 1.0)
 
 
+def test_cli_simulate_oracle_csv_header_names_every_pass(tmp_path):
+    raw = GOLDEN["function_family_config.json"]().to_dict()
+    raw["forecaster"] = {"kind": "oracle"}  # the configured schedule's passes are 1,2,3,7,11,15,19 of 20
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 0, proc.stderr
+    [csv] = (tmp_path / "out").glob("run_seed*.csv")  # the config has one seed
+    lines = csv.read_text().splitlines()
+    assert f"# schedule={','.join(str(j) for j in range(1, 21))}" in lines
+    assert [line.split(",")[2] for line in lines if line[0].isdigit()] == ["actual"] * 20
+
+
 @pytest.mark.parametrize(
-    "values, message",
+    "axis, values, message",
     [
-        ("x", "error: --values: could not convert string to float: 'x'"),
-        ("-1", "error: --values: regularization strength must be finite and >= 0, got -1.0"),
+        ("lambda", "x", "error: --values: could not convert string to float: 'x'"),
+        ("lambda", "-1", "error: --values: regularization strength must be finite and >= 0, got -1.0"),
+        ("degree", "2,2.5", "error: --values: basis degree must be an integer >= 0, got 2.5"),
     ],
-    ids=["not-a-number", "negative-lambda"],
+    ids=["not-a-number", "negative-lambda", "fractional-degree"],
 )
-def test_cli_sweep_invalid_value_exit_code(tmp_path, values, message):
-    proc = run_cli("sweep", "--axis", "lambda", "--values", values, "--output-dir", str(tmp_path / "out"))
+def test_cli_sweep_invalid_value_exit_code(tmp_path, axis, values, message):
+    proc = run_cli("sweep", "--axis", axis, "--values", values, "--output-dir", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr == message + "\n"
     assert not (tmp_path / "out").exists()

@@ -1,7 +1,7 @@
 """Tests for the forecasters' weights, and for the stateful reference forecasters.
 
 The weights chebcast computes from the times alone (taylor_weights,
-spectral_triangle, spectral_weights) are tested directly.  The feature
+spectral_triangle, spectral_weights), a row a forecast, are tested directly.  The feature
 cache and the observe/predict forecasters live in tests/oracles.py, as the
 reference the planned sampler is checked against; they are tested here too.
 """
@@ -15,6 +15,7 @@ from chebcast import (
     EllipseBound,
     ForecasterChoice,
     RidgeFitError,
+    basis_matrix,
     basis_row,
     min_singular,
     project_time,
@@ -24,7 +25,6 @@ from chebcast import (
     taylor_weights,
     uniform_schedule,
 )
-from chebcast.basis import recurrence_row
 from chebcast.sandbox import PolynomialChannel, plan_forecasts
 from chebcast.ridge import RidgeFactor, build_design, fold_rows, solve_leading
 
@@ -58,7 +58,8 @@ def ridge_fit(times, features, degree, lam):
 
 def ridge_forecast(factor, triangle, t):
     """w @ Q^T H with R^T w = phi(2t-1)."""
-    return spectral_weights(triangle, t) @ factor.qth[: len(triangle)]
+    w = spectral_weights(triangle, basis_row(len(triangle) - 1, project_time(t))[None])[0]
+    return w @ factor.qth[: len(triangle)]
 
 
 # --- cache ---------------------------------------------------------------
@@ -139,12 +140,12 @@ def test_order_zero_is_bitwise_naive():
 def test_linear_channel_is_exact():
     times = (0.0, 0.1, 0.2, 0.3)
     values = np.array([[2.0 + 3.0 * t] for t in times])
-    assert (taylor_weights(times, 0.7, 1) @ values[-2:])[0] == pytest.approx(4.1, abs=1e-12)
+    assert (taylor_weights(times, [0.7], 1)[0] @ values[-2:])[0] == pytest.approx(4.1, abs=1e-12)
 
 
 def test_two_point_extrapolation_value():
     # slope (2-1)/0.2 = 5, anchored at t=0.2, queried 0.4 ahead -> 4.0
-    assert taylor_weights([0.0, 0.2], 0.6, 1) @ [1.0, 2.0] == pytest.approx(4.0, abs=1e-12)
+    assert taylor_weights([0.0, 0.2], [0.6], 1)[0] @ [1.0, 2.0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_uniform_spacing_matches_difference_form():
@@ -153,14 +154,43 @@ def test_uniform_spacing_matches_difference_form():
     times = [0.1, 0.2, 0.3, 0.4, 0.5]
     for order in (1, 2, 3):
         for steps_ahead in (0.5, 1.0, 2.5):
-            got = taylor_weights(times, 0.5 + 0.1 * steps_ahead, order) @ values[-(order + 1):]
+            got = taylor_weights(times, [0.5 + 0.1 * steps_ahead], order)[0] @ values[-(order + 1):]
             want = taylor_uniform_prediction(values[-(order + 1):], 0.1, steps_ahead, order)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["taylor", "spectrum"]),
+    order=st.integers(0, 4),
+    degree=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 1e-3, 0.1]),
+    extra=st.integers(0, 8),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_batched_weight_row_is_bitwise_its_single_row_call(kind, order, degree, lam, extra, ts, seed):
+    """A plan weighs a whole stretch in one call: row i is what the call for ts[i] alone gives."""
+    rng = np.random.default_rng(seed)
+    n_points = max(order, degree) + 1 + extra
+    # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
+    times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
+    if kind == "taylor":
+        batch = taylor_weights(times, ts, order)
+        rows = [taylor_weights(times, [t], order)[0] for t in ts]
+    else:
+        _, triangle = ridge_fit(times, np.empty((n_points, 0)), degree, lam)
+        phi = basis_matrix(len(triangle) - 1, [project_time(t) for t in ts])
+        batch = spectral_weights(triangle, phi)
+        rows = [spectral_weights(triangle, row[None])[0] for row in phi]
+    assert batch.shape == (len(ts), len(rows[0]))
+    for got, want in zip(batch, rows):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_insufficient_depth_errors():
     with pytest.raises(ValueError, match="order-1 forecast needs 2 cached entries, have 1"):
-        taylor_weights([0.0], 0.5, 1)
+        taylor_weights([0.0], [0.5], 1)
 
 
 # --- spectral ---------------------------------------------------------------
@@ -423,7 +453,7 @@ def test_triangle_forecast_matches_coefficient_forecast(degree, lam, n_channels,
     times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
     factor, triangle = ridge_fit(times, rng.normal(size=(n_points, n_channels)), degree, lam)
     coeffs = solve_leading(factor, len(triangle))
-    via_coeffs = recurrence_row(len(triangle) - 1, project_time(t_query)) @ coeffs
+    via_coeffs = basis_row(len(triangle) - 1, project_time(t_query)) @ coeffs
     scale = max(1.0, np.abs(coeffs).sum())
     np.testing.assert_allclose(ridge_forecast(factor, triangle, t_query), via_coeffs, rtol=0.0, atol=1e-12 * scale)
 

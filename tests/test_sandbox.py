@@ -708,8 +708,10 @@ def test_forecaster_choice_validation():
         ForecasterChoice(kind="taylor", cache_scope="per_block")
     with pytest.raises(ValueError, match="order"):
         ForecasterChoice(kind="taylor", order=-1)
-    with pytest.raises(ValueError, match="cache window must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="cache window must be an integer >= 1, got 0"):
         ForecasterChoice(kind="spectrum", window=0)
+    with pytest.raises(ValueError, match="cache window must be an integer >= 1, got -1"):
+        ForecasterChoice(kind="taylor", window=-1)
 
 
 @pytest.mark.parametrize("order", [1.5, True])
@@ -721,7 +723,7 @@ def test_forecaster_choice_rejects_a_fractional_or_bool_order(order):
 @pytest.mark.parametrize("kind", ["taylor", "spectrum"])
 @pytest.mark.parametrize("window", [2.5, True])
 def test_forecaster_choice_rejects_a_fractional_or_bool_window(kind, window):
-    with pytest.raises(ValueError, match=f"cache window must be an integer >= 0, got {window!r}"):
+    with pytest.raises(ValueError, match=f"cache window must be an integer >= 1, got {window!r}"):
         ForecasterChoice(kind=kind, window=window)
 
 
