@@ -91,8 +91,12 @@ def fold_rows(factor: RidgeFactor, rows: np.ndarray, H: np.ndarray) -> RidgeFact
 
 
 def rotate_features(q: np.ndarray, qth: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """q^T [qth; H]: the rows of Q^T H after a fold with orthonormal factor q of the rows of H."""
-    return q.T @ np.concatenate([qth, H])
+    """q^T [qth; H]: the rows of Q^T H after a fold with orthonormal factor q of the rows of H.
+
+    qth and H may be stacks (..., rows, F) of several features' operands;
+    each slice of the result is then its own 2-D product.
+    """
+    return np.matmul(q.T, np.concatenate([qth, H], axis=-2))
 
 
 def leading_triangle(factor: RidgeFactor, n_coef: int) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from .basis import basis_matrix
 from .forecasters import spectral_triangle, spectral_weights, taylor_weights
 from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, rotate_features
-from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
+from .schedule import ActivationSchedule, ScheduleParams, _count, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
 CACHE_SCOPES = ("last_block", "per_block")
@@ -274,14 +274,6 @@ class ForecasterChoice:
         object.__setattr__(self, "window", window)
 
 
-def _count(value, what: str, least: int = 0) -> int:
-    """value as an int >= least; a bool or a number with a fractional part is an error, not truncated."""
-    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True, eq=False)
 class Stretch:
     """Skipped steps start..stop-1 (0-based): their features are weights @ passes[lo:hi].
@@ -291,8 +283,8 @@ class Stretch:
     fold, the orthonormal factor of the fit's QR update, starting from zeros
     when fresh and else from the previous spectral stretch's Q^T H.  Each of
     its features is its row of weights, the forecast's w, times the leading
-    rows of that Q^T H: w @ Q^T H step by step, as the spectral forecast is
-    defined.
+    rows of that Q^T H: w @ Q^T H for each step and block, as the spectral
+    forecast is defined, though a run makes them all in one stacked product.
     """
 
     start: int
@@ -433,11 +425,12 @@ class TrajectoryRecord:
 
 
 def _newest(buffer: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Passes lo..hi-1 of a buffer holding pass k at row k % len(buffer); hi - lo <= len(buffer)."""
-    first = lo % len(buffer)
-    if first + hi - lo <= len(buffer):
-        return buffer[first:first + hi - lo]
-    return np.concatenate([buffer[first:], buffer[:hi % len(buffer)]])
+    """Passes lo..hi-1 of a (blocks, rows, F) buffer holding pass k at row k % rows; hi - lo <= rows."""
+    rows = buffer.shape[1]
+    first = lo % rows
+    if first + hi - lo <= rows:
+        return buffer[:, first:first + hi - lo]
+    return np.concatenate([buffer[:, first:], buffer[:, :hi % rows]], axis=1)
 
 
 def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
@@ -453,11 +446,14 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     the denoiser, caches its feature and takes the Euler step; a stretch of
     skipped steps is one product of its planned weights with the newest
     cached features, and its states one cumulative sum of the Euler
-    increments.  A spectral stretch first carries the passes new since the
-    last one through the fit's planned fold, then forecasts each step as
-    the forecaster would, w @ Q^T H, so it matches observe/predict bitwise.
-    The oracle kind's plan makes every step an actual pass; it is the
-    reference trajectory for RMSE comparisons.  A non-finite feature at any
+    increments.  A spectral stretch is two stacked numpy products, whatever
+    its length and block count: one carries every block's passes new since
+    the last stretch through the planned fold, and one forecasts every step
+    and block as w @ Q^T H.  Each slice of either is its own 2-D product, so
+    the run matches observe/predict bitwise; the passes are block-major for
+    that, since over a transposed, non-contiguous operand it is not.  The
+    oracle kind's plan makes every step an actual pass, the reference
+    trajectory for RMSE comparisons.  A non-finite feature at any
     actual pass, the oracle's included, raises SamplerError naming the
     run's kind, the step and its time.
 
@@ -482,8 +478,8 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     times, increments = plan.times.tolist(), plan.increments
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
-    passes = np.empty((plan.n_rows, n_blocks, spec.dim))  # pass k at row k % n_rows
-    qth = [None] * n_blocks  # each block's Q^T H of the spectral fit, carried from stretch to stretch
+    passes = np.empty((n_blocks, plan.n_rows, spec.dim))  # pass k at row k % n_rows of every block
+    qth = None  # every block's Q^T H of the spectral fit, carried from stretch to stretch
     k = j = 0
     while j < n:
         stretch = plan.stretches.get(j)
@@ -498,7 +494,7 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             if not np.isfinite(target).all():
                 raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
                                    f"feature at t={t:g} has non-finite entries")
-            passes[k % plan.n_rows] = target
+            passes[:, k % plan.n_rows] = target
             k += 1
             x = x + increments[j] * h
             states[j] = x
@@ -509,21 +505,22 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         H = features[j:stop]
         cached = _newest(passes, stretch.lo, stretch.hi)
         if stretch.fold is None:
-            np.dot(stretch.weights, cached[:, 0], out=H)
+            np.dot(stretch.weights, cached[0], out=H)
         else:
-            for b in range(n_blocks):
-                prior = np.zeros((stretch.fold.shape[1], spec.dim)) if stretch.fresh else qth[b]
-                qth[b] = rotate_features(stretch.fold, prior, cached[:, b])
-            leading = [block[: stretch.weights.shape[1]] for block in qth]
-            # one step and one block at a time, as each block's forecaster would predict
+            if stretch.fresh:  # read-only zeros: the fold's one operand copies them
+                qth = np.broadcast_to(0.0, (n_blocks, stretch.fold.shape[1], spec.dim))
+            qth = rotate_features(stretch.fold, qth, cached)  # every block's fold, one 2-D product each
+            # one vector-matrix product a step and block, as each block's forecaster would predict
+            w, leading = stretch.weights[:, None, None, :], qth[None, :, : stretch.weights.shape[1]]
             if base is None:
-                for h, w in zip(H, stretch.weights):
-                    np.dot(w, leading[0], out=h)
+                np.matmul(w, leading, out=H[:, None, None])
             else:
-                for h, w, t in zip(H, stretch.weights, times[j:stop]):
-                    h[:] = base(t)
-                    for block in leading:
-                        h += w.dot(block)
+                terms = np.empty((stop - j, n_blocks + 1, 1, spec.dim))
+                terms[:, 0, 0] = [base(t) for t in times[j:stop]]
+                np.matmul(w, leading, out=terms[:, 1:])
+                np.add.accumulate(terms, axis=1, out=terms)  # base(t), then each block's in block order
+                H[:] = terms[:, -1, 0]
+                del terms  # not held through the next fold, which sets the run's memory peak
         steps = increments[j:stop, None] * H
         steps[0] += x  # the running sum adds each step to the state in turn, as the actual steps do
         np.add.accumulate(steps, axis=0, out=states[j:stop])

@@ -13,7 +13,17 @@ precomputed and immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+
+
+def _count(value, what: str, least: int = 0) -> int:
+    """value as an int >= least; a bool or a number with a fractional part is an error, not truncated."""
+    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -30,15 +40,16 @@ class ScheduleParams:
             raise ValueError(f"warmup must be in [1, {self.n_steps}], got {self.warmup}")
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        for name in ("n_steps", "interval", "warmup"):  # in range, so now only a bool or a fraction is refused
+            object.__setattr__(self, name, _count(getattr(self, name), name, least=1))
 
 
 @dataclass(frozen=True)
 class ActivationSchedule:
     n_steps: int
     full_pass_indices: tuple[int, ...]
-    full_pass_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = self.full_pass_indices
@@ -48,11 +59,10 @@ class ActivationSchedule:
             raise ValueError("full-pass indices must be strictly increasing")
         if idx[-1] > self.n_steps:
             raise ValueError("full-pass index beyond the last step")
-        object.__setattr__(self, "full_pass_set", frozenset(idx))
 
     @property
     def forecast_indices(self) -> tuple[int, ...]:
-        return tuple(j for j in range(1, self.n_steps + 1) if j not in self.full_pass_set)
+        return tuple(sorted(set(range(1, self.n_steps + 1)).difference(self.full_pass_indices)))
 
     @property
     def nfe(self) -> int:
@@ -64,7 +74,7 @@ class ActivationSchedule:
         return self.n_steps / self.nfe
 
     def is_full_pass(self, step: int) -> bool:
-        return step in self.full_pass_set
+        return step in self.full_pass_indices
 
     def index_line(self) -> str:
         """Comma-separated 1-based full-pass indices, for dumps and golden files."""
@@ -76,12 +86,11 @@ def adaptive_schedule(params: ScheduleParams) -> ActivationSchedule:
     full = set(range(1, params.warmup + 1))
     r = 0
     while True:
-        j = params.warmup + math.floor(
-            (r + 1) * params.interval + params.alpha * r * (r + 1) / 2.0
-        )
-        if j > params.n_steps:
+        gap = (r + 1) * params.interval + params.alpha * r * (r + 1) / 2.0
+        # exactly warmup + floor(gap) > n_steps, yet stops before a huge alpha's inf reaches floor
+        if gap >= params.n_steps - params.warmup + 1:
             break
-        full.add(j)
+        full.add(params.warmup + math.floor(gap))
         r += 1
     return ActivationSchedule(n_steps=params.n_steps, full_pass_indices=tuple(sorted(full)))
 

@@ -469,7 +469,7 @@ def reference_plan(schedule, choice):
     spectral = isinstance(forecaster, SpectralForecaster)
     flags, stretches, rows, k = [], [], [], 0
     for j, t in enumerate(times.tolist()):
-        if j + 1 in schedule.full_pass_set:
+        if schedule.is_full_pass(j + 1):
             if rows:
                 stretches.append(_stretch(rows, k, j, forecaster.state.factor if spectral else None))
                 rows = []

@@ -154,6 +154,20 @@ def test_cli_schedule_invalid_flags():
     assert proc.stderr == "error: interval must be >= 1, got 0\n"
 
 
+def test_cli_schedule_huge_alpha_stops_after_the_first_gap():
+    # the second gap overflows to inf, and the loop stops on it before taking its floor
+    proc = run_cli("schedule", "--n", "50", "--interval", "2", "--warmup", "5", "--alpha", "1e308")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1,2,3,4,5,7\nNFE=6, speedup=8.333333333333334\n"
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_cli_schedule_non_finite_alpha(alpha):
+    proc = run_cli("schedule", "--n", "50", "--interval", "2", "--warmup", "5", "--alpha", alpha)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: alpha must be finite and >= 0, got {alpha}\n"
+
+
 def test_cli_bounds_unknown_suite():
     proc = run_cli("bounds", "nosuch")
     assert proc.returncode == 2
@@ -301,6 +315,8 @@ INVALID = {
     "boolean lambda": ("forecaster", "lambda", True, "forecaster.lambda: expected a number, got True"),
     "string alpha": ("schedule", "alpha", "3", "schedule.alpha: expected a number, got '3'"),
     "alpha past the float range": ("schedule", "alpha", 10**400, "schedule.alpha: int too large"),
+    "infinite alpha": ("schedule", "alpha", float("inf"), "schedule.*alpha must be finite"),
+    "NaN alpha": ("schedule", "alpha", float("nan"), "schedule.*alpha must be finite"),
     "boolean weight": ("spec", "weights", [True, 0.0, 0.0], "spec.weights: expected a number, got True"),
     "boolean variances": ("spec", "variances", [[True] * 8] * 3, "spec.variances: expected a number"),
     "string means": ("spec", "means", [["1"] * 8] * 3, "spec.means: expected a number, got '1'"),
@@ -491,6 +507,17 @@ def test_cli_simulate_invalid_value_exit_code(tmp_path):
     assert "checkpoints" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_huge_alpha(tmp_path):
+    raw = gate9_config().to_dict()
+    raw["schedule"]["alpha"] = 1e308
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["nfe"] == 6  # the warm-up 1..5 and 5 + floor(2)
 
 
 def test_cli_simulate_nan_lambda_fails_at_parse(tmp_path):

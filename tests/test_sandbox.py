@@ -526,9 +526,11 @@ def stepwise_reference(spec, schedule, choice, x0):
     interval=st.integers(1, 6),
     warmup=st.integers(1, 6),
     alpha=st.sampled_from([0.0, 0.5, 3.0]),
+    width=st.integers(1, 9),
+    n_blocks=st.integers(1, 4),
 )
 def test_planned_run_matches_the_stepwise_run(
-    kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha
+    kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha, width, n_blocks
 ):
     per_block = per_block and kind == "spectrum"
     if mixture and not per_block:  # the state feeds back into every actual pass
@@ -536,7 +538,7 @@ def test_planned_run_matches_the_stepwise_run(
             weights=(0.6, 0.4), means=np.array([[1.0, -2.0, 0.5], [-1.5, 1.0, 2.0]]), variances=np.full((2, 3), 0.3)
         )
     else:
-        spec = BlockStack(n_blocks=3, width=4, gain=1.5, seed=4)
+        spec = BlockStack(n_blocks=n_blocks, width=width, gain=1.5, seed=4)
     choice = ForecasterChoice(
         kind=kind, order=order, degree=degree, lam=lam, window=window,
         cache_scope="per_block" if per_block else "last_block",

@@ -1,5 +1,7 @@
 """Tests for activation schedules and the published NFE table."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,15 +113,26 @@ def test_partition_into_full_and_forecast(n_steps, interval, warmup, alpha, d_al
     assert nfe(a=alpha + d_alpha) <= nfe()
 
 
+# (n_steps, interval, warmup, alpha) -> the refused parameter, as the message names it
+INVALID_PARAMS = [
+    ((50, 2, 0, 0.0), "warmup"),
+    ((10, 2, 11, 0.0), "warmup"),
+    ((50, 0, 1, 0.0), "interval"),
+    ((50, 2, 1, -0.5), "alpha"),
+    ((50, 2, 1, math.inf), "alpha must be finite"),
+    ((50, 2, 1, math.nan), "alpha must be finite"),
+    ((50, 1.5, 1, 0.0), "interval must be an integer"),
+    ((50, True, 1, 0.0), "interval must be an integer"),
+    ((True, 1, 1, 0.0), "n_steps must be an integer"),
+    ((50.5, 1, 1, 0.0), "n_steps must be an integer"),
+    ((50, 2, 2.5, 0.0), "warmup must be an integer"),
+]
+
+
 def test_invalid_params_rejected():
-    with pytest.raises(ValueError, match="warmup"):
-        ScheduleParams(50, 2, 0, 0.0)
-    with pytest.raises(ValueError, match="warmup"):
-        ScheduleParams(10, 2, 11, 0.0)
-    with pytest.raises(ValueError, match="interval"):
-        ScheduleParams(50, 0, 1, 0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        ScheduleParams(50, 2, 1, -0.5)
+    for params, refused in INVALID_PARAMS:
+        with pytest.raises(ValueError, match=refused):
+            ScheduleParams(*params)
     with pytest.raises(ValueError, match="full pass"):
         ActivationSchedule(n_steps=5, full_pass_indices=(2, 3))
 
