@@ -175,12 +175,10 @@ class BlockStack:
     kind = "block_stack"
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError(f"block count must be >= 1, got {self.n_blocks}")
-        if self.width < 1:
-            raise ValueError(f"feature width must be >= 1, got {self.width}")
-        if self.gain < 0.0:
-            raise ValueError(f"nonlinearity gain must be >= 0, got {self.gain}")
+        object.__setattr__(self, "n_blocks", _count(self.n_blocks, "block count", least=1))
+        object.__setattr__(self, "width", _count(self.width, "feature width", least=1))
+        if not (math.isfinite(self.gain) and self.gain >= 0.0):
+            raise ValueError(f"nonlinearity gain must be finite and >= 0, got {self.gain}")
         if self.mixing not in ("rotation", "identity"):
             raise ValueError(f"mixing must be 'rotation' or 'identity', got {self.mixing!r}")
         rng = np.random.default_rng(self.seed)
@@ -204,14 +202,12 @@ class BlockStack:
         powers = np.array([1.0, t, t * t, t * t * t])
         return self._base_coeffs @ powers
 
-    def stage_outputs(self, t: float) -> list[np.ndarray]:
-        """[y_0, y_1, ..., y_B] with y_0 the base feature and y_B the output."""
-        y = self.base_feature(t)
-        stages = [y]
-        for rot in self._rotations:
-            mixed = rot @ y
-            y = y + self.gain * np.tanh(mixed)
-            stages.append(y)
+    def stage_outputs(self, t: float) -> np.ndarray:
+        """The (n_blocks + 1, width) array of rows y_0, y_1, ..., y_B: y_0 the base feature, y_B the output."""
+        stages = np.empty((self.n_blocks + 1, self.width))
+        y = stages[0] = self.base_feature(t)
+        for b, rot in enumerate(self._rotations, start=1):
+            y = stages[b] = y + self.gain * np.tanh(rot @ y)
         return stages
 
     def features(self, t: float) -> np.ndarray:
@@ -457,11 +453,12 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     actual pass, the oracle's included, raises SamplerError naming the
     run's kind, the step and its time.
 
-    Last-block caching caches the output feature h.  Per-block caching
-    (block_stack only) caches every block's residual y_b - y_(b-1) and
-    forecasts base(t) plus the sum of their forecasts: every block shares
-    one design and lambda, so one plan serves them all, and the base
-    feature needs no network pass.
+    Last-block caching writes each pass's output feature h straight into
+    its row of the pass ring.  Per-block caching (block_stack only)
+    subtracts every block's residual y_b - y_(b-1) into it, and forecasts
+    base(t) plus their forecasts, added one block at a time in block
+    order: every block shares one design and lambda, so one plan serves
+    them all, and the base feature needs no network pass.
     """
     started = time.perf_counter()
     plan = config.plan
@@ -485,16 +482,16 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         stretch = plan.stretches.get(j)
         if stretch is None:
             t = times[j]
+            target = passes[:, k % plan.n_rows]
             if base is None:
-                h = evaluate_denoiser(spec, x, t)  # the score is h itself
-                target = h[None]
+                h = target[0] = evaluate_denoiser(spec, x, t)  # the score is h itself
             else:
                 stages = spec.stage_outputs(t)
-                h, target = stages[-1], np.diff(stages, axis=0)  # y_b - y_(b-1), one row a block
+                h = stages[-1]
+                np.subtract(stages[1:], stages[:-1], out=target)  # y_b - y_(b-1), one row a block
             if not np.isfinite(target).all():
                 raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
                                    f"feature at t={t:g} has non-finite entries")
-            passes[:, k % plan.n_rows] = target
             k += 1
             x = x + increments[j] * h
             states[j] = x
@@ -515,11 +512,11 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             if base is None:
                 np.matmul(w, leading, out=H[:, None, None])
             else:
-                terms = np.empty((stop - j, n_blocks + 1, 1, spec.dim))
-                terms[:, 0, 0] = [base(t) for t in times[j:stop]]
-                np.matmul(w, leading, out=terms[:, 1:])
-                np.add.accumulate(terms, axis=1, out=terms)  # base(t), then each block's in block order
-                H[:] = terms[:, -1, 0]
+                terms = np.matmul(w, leading)  # (steps, n_blocks, 1, width)
+                for i, t in enumerate(times[j:stop]):
+                    H[i] = base(t)
+                for b in range(n_blocks):  # each block's forecast added in block order, as the forecasters sum
+                    H += terms[:, b, 0]
                 del terms  # not held through the next fold, which sets the run's memory peak
         steps = increments[j:stop, None] * H
         steps[0] += x  # the running sum adds each step to the state in turn, as the actual steps do

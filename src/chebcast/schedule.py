@@ -42,6 +42,8 @@ class ScheduleParams:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if isinstance(self.alpha, bool):  # dumped as true, which a config refuses
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         for name in ("n_steps", "interval", "warmup"):  # in range, so now only a bool or a fraction is refused
             object.__setattr__(self, name, _count(getattr(self, name), name, least=1))
 

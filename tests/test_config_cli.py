@@ -200,6 +200,19 @@ def test_cli_simulate_oracle_config(tmp_path):
     assert summary["per_seed"]["7051"]["oracle_self_rmse"] == 0.0
 
 
+def test_cli_simulate_infinite_gain_is_refused_before_any_pass(tmp_path):
+    raw = json.loads((DATA / "blockstack_config.json").read_text())
+    raw["spec"]["gain"] = float("inf")  # written as Infinity
+    raw["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 2
+    # no pass ran, so no RuntimeWarning from the overflowing block either
+    assert proc.stderr == "error: invalid spec: nonlinearity gain must be finite and >= 0, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_simulate_unknown_key_exit_code(tmp_path):
     _, path = sample_config(tmp_path)
     raw = json.loads(path.read_text())
@@ -317,6 +330,8 @@ INVALID = {
     "alpha past the float range": ("schedule", "alpha", 10**400, "schedule.alpha: int too large"),
     "infinite alpha": ("schedule", "alpha", float("inf"), "schedule.*alpha must be finite"),
     "NaN alpha": ("schedule", "alpha", float("nan"), "schedule.*alpha must be finite"),
+    "infinite gain": (None, "spec", {"kind": "block_stack", "gain": float("inf")}, "spec: nonlinearity gain must be finite"),
+    "NaN gain": (None, "spec", {"kind": "block_stack", "gain": float("nan")}, "spec: nonlinearity gain must be finite"),
     "boolean weight": ("spec", "weights", [True, 0.0, 0.0], "spec.weights: expected a number, got True"),
     "boolean variances": ("spec", "variances", [[True] * 8] * 3, "spec.variances: expected a number"),
     "string means": ("spec", "means", [["1"] * 8] * 3, "spec.means: expected a number, got '1'"),

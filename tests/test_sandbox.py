@@ -119,6 +119,46 @@ def test_block_stack_stages_telescope():
     np.testing.assert_allclose(total, stages[-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("n_blocks, width, mixing", [(1, 1, "rotation"), (4, 8, "rotation"), (3, 5, "identity")])
+def test_stage_outputs_is_one_array_of_the_blocks_in_turn(n_blocks, width, mixing):
+    spec = BlockStack(n_blocks=n_blocks, width=width, gain=0.8, mixing=mixing, seed=5)
+    for t in (0.0, 0.3, 1.0):
+        stages = spec.stage_outputs(t)
+        assert isinstance(stages, np.ndarray)
+        assert stages.dtype == float
+        assert stages.shape == (n_blocks + 1, width)
+        assert np.array_equal(stages[0], spec.base_feature(t))
+        for rot, y, out in zip(spec._rotations, stages[:-1], stages[1:]):
+            assert np.array_equal(out, y + spec.gain * np.tanh(rot @ y))
+        assert np.array_equal(spec.features(t), stages[-1])
+
+
+# BlockStack keywords -> the refused value, as the message names it
+INVALID_BLOCK_STACKS = {
+    "boolean block count": (dict(n_blocks=True), "block count must be an integer >= 1, got True"),
+    "zero block count": (dict(n_blocks=0), "block count must be an integer >= 1, got 0"),
+    "fractional block count": (dict(n_blocks=2.5), "block count must be an integer >= 1, got 2.5"),
+    "fractional width": (dict(width=3.5), "feature width must be an integer >= 1, got 3.5"),
+    "boolean width": (dict(width=True), "feature width must be an integer >= 1, got True"),
+    "negative gain": (dict(gain=-0.5), "gain must be finite and >= 0, got -0.5"),
+    "infinite gain": (dict(gain=float("inf")), "gain must be finite and >= 0, got inf"),
+    "NaN gain": (dict(gain=float("nan")), "gain must be finite and >= 0, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_BLOCK_STACKS))
+def test_block_stack_refuses_invalid_values(case):
+    kwargs, refused = INVALID_BLOCK_STACKS[case]
+    with pytest.raises(ValueError, match=refused):
+        BlockStack(**kwargs)
+
+
+def test_block_stack_takes_integral_floats_as_counts():
+    spec = BlockStack(n_blocks=2.0, width=3.0)
+    assert (type(spec.n_blocks), type(spec.width)) == (int, int)
+    assert np.array_equal(spec.stage_outputs(0.3), BlockStack(n_blocks=2, width=3).stage_outputs(0.3))
+
+
 def test_denoiser_rejects_bad_inputs():
     spec = single_gaussian(0.0, 1.0, 3)
     with pytest.raises(ValueError, match="timestep"):
@@ -527,8 +567,11 @@ def stepwise_reference(spec, schedule, choice, x0):
     warmup=st.integers(1, 6),
     alpha=st.sampled_from([0.0, 0.5, 3.0]),
     width=st.integers(1, 9),
-    n_blocks=st.integers(1, 4),
+    n_blocks=st.integers(1, 9),
 )
+# eight per-block forecasts of width 1: a pairwise sum over the blocks differs from adding them in block order
+@example(kind="spectrum", order=1, degree=4, lam=1e-3, window=None, per_block=True, mixture=False,
+         n_steps=40, interval=3, warmup=4, alpha=0.5, width=1, n_blocks=8)
 def test_planned_run_matches_the_stepwise_run(
     kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha, width, n_blocks
 ):

@@ -121,6 +121,7 @@ INVALID_PARAMS = [
     ((50, 2, 1, -0.5), "alpha"),
     ((50, 2, 1, math.inf), "alpha must be finite"),
     ((50, 2, 1, math.nan), "alpha must be finite"),
+    ((50, 2, 5, True), "alpha must be a number, got True"),
     ((50, 1.5, 1, 0.0), "interval must be an integer"),
     ((50, True, 1, 0.0), "interval must be an integer"),
     ((True, 1, 1, 0.0), "n_steps must be an integer"),
