@@ -7,7 +7,7 @@ denoisers for ground-truth comparisons, and numerical verification of the
 associated approximation error bounds.
 """
 
-from .basis import EllipseBound, basis_matrix, basis_row, eval_cheb, project_time, truncation_bound
+from .basis import EllipseBound, basis_matrix, basis_row, project_time, truncation_bound
 from .bounds import (
     spectral_bound,
     taylor_worst_case,
@@ -16,12 +16,7 @@ from .bounds import (
     verify_taylor_attainment,
 )
 from .forecasters import spectral_triangle, spectral_weights, taylor_weights
-from .ridge import (
-    RidgeFitError,
-    build_design,
-    min_singular,
-    solve_ridge,
-)
+from .ridge import RidgeFitError, min_singular
 from .sandbox import (
     BlockStack,
     ExponentialChannel,

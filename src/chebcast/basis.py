@@ -34,11 +34,6 @@ def project_time(t: float) -> float:
     return 2.0 * t - 1.0
 
 
-def eval_cheb(m: int, tau: float) -> float:
-    """Evaluate T_m(tau) by the three-term recurrence: the last entry of basis_row."""
-    return float(basis_row(m, tau)[m])
-
-
 def basis_row(degree: int, tau: float) -> np.ndarray:
     """Row vector [T_0(tau), ..., T_degree(tau)], length degree + 1: the one row of basis_matrix."""
     return basis_matrix(degree, float(tau))[0]

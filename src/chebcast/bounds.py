@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import EllipseBound, basis_matrix, project_time, truncation_bound
 from .forecasters import spectral_triangle, spectral_weights
-from .ridge import RidgeFactor, build_design, fold_rows, min_singular, solve_ridge
+from .ridge import RidgeFactor, fold_rows, min_singular
 
 DENSE_GRID = 10_000
 
@@ -71,11 +71,12 @@ def verify_taylor_attainment(
 
 
 def cheb_interpolant_values(f, degree: int, grid: np.ndarray) -> np.ndarray:
-    """Values on `grid` of the degree-M interpolant of f at Chebyshev nodes."""
+    """Values on `grid` of the degree-M Chebyshev-node interpolant of f: the lambda = 0 fit, forecast as plans do."""
     k = np.arange(degree + 1)
     nodes = np.sort(np.cos((2 * k + 1) * np.pi / (2 * (degree + 1))))
-    coeffs = solve_ridge(build_design(nodes, degree), np.asarray([f(tau) for tau in nodes])[:, None], 0.0)
-    return (build_design(grid, degree) @ coeffs)[:, 0]
+    values = np.asarray([f(tau) for tau in nodes])[:, None]
+    fit = fold_rows(RidgeFactor.empty(0.0, degree + 1, 1), basis_matrix(degree, nodes), values)
+    return (spectral_weights(spectral_triangle(fit, degree), basis_matrix(degree, grid)) @ fit.qth)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def verify_spectral_bound(
     """
     k = np.arange(n_nodes)
     nodes = np.sort(fit_end / 2.0 + fit_end / 2.0 * np.cos((2 * k + 1) * np.pi / (2 * n_nodes)))
-    phi = build_design([project_time(t) for t in nodes], degree)
+    phi = basis_matrix(degree, [project_time(t) for t in nodes])
     fit = fold_rows(RidgeFactor.empty(lam, degree + 1, 1), phi, np.array([[channel(t)] for t in nodes]))
     triangle = spectral_triangle(fit, degree)
     sigma = min_singular(phi)

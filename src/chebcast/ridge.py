@@ -1,17 +1,15 @@
-"""Closed-form ridge regression on a Chebyshev design matrix.
+"""The ridge fit of a Chebyshev series, carried as a QR factor; its coefficients are never formed.
 
-The design matrix stacks basis rows at the projected cached timesteps; the
-coefficient matrix minimizes
-
-    ||Phi C - H||_F^2 + lambda ||C||_F^2,
-
-which is the least-squares problem [sqrt(lambda) I; Phi] C ~ [0; H].  It is
-solved through the QR factorization of that stacked matrix, never through
-the normal equations, so the condition number is not squared and no
-stabilizing diagonal is ever added.  The factor R and the matching rows of
-Q^T [0; H] are kept, so rows observed later are folded into them by one
-small QR (Golub & Van Loan, Matrix Computations, sec. 6.5) instead of
-refactoring every row seen so far.
+The coefficients C of the fit minimize ||Phi C - H||_F^2 + lambda ||C||_F^2,
+the least-squares problem [sqrt(lambda) I; Phi] C ~ [0; H].  This module
+keeps the R of the QR factorization of that stacked matrix and the
+matching rows of Q^T [0; H].  It factors the stacked matrix, never the
+normal equations, so the condition number is not squared and no
+stabilizing diagonal is ever added.  Rows observed later are folded in by
+one small QR (Golub & Van Loan, Matrix Computations, sec. 6.5) instead of
+refactoring every row seen so far.  The fitted series at the basis row phi
+is w @ Q^T H with R^T w = phi (chebcast.forecasters.spectral_weights),
+solved on the leading block of R that leading_triangle checks.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .basis import basis_matrix
 
 DEFAULT_LAMBDA = 0.1
 
@@ -52,31 +48,6 @@ class RidgeFactor:
     def empty(cls, lam: float, n_coef: int, n_channels: int) -> RidgeFactor:
         """The factor of the prior rows sqrt(lam) I alone, with zero features."""
         return cls(math.sqrt(lam) * np.eye(n_coef), np.zeros((n_coef, n_channels)), lam, 0)
-
-
-def build_design(cached_taus, degree: int) -> np.ndarray:
-    """The K x (M+1) design matrix: basis rows at the projected cached timesteps.
-
-    The taus must be strictly increasing and inside [-1, 1]; duplicates would
-    make interpolation fits singular for no good reason, so they are rejected.
-    """
-    taus = np.asarray(cached_taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("cached taus must be a non-empty 1-D sequence")
-    if (taus[1:] <= taus[:-1]).any():
-        raise ValueError("cached taus must be strictly increasing")
-    return basis_matrix(degree, taus)
-
-
-def _as_feature_matrix(values, n_points: int) -> np.ndarray:
-    H = np.asarray(values, dtype=float)
-    if H.ndim == 1:
-        H = H[:, None]
-    if H.ndim != 2 or H.shape[0] != n_points:
-        raise ValueError(
-            f"feature matrix must have one row per design row ({n_points}), got shape {H.shape}"
-        )
-    return H
 
 
 def fold_rows(factor: RidgeFactor, rows: np.ndarray, H: np.ndarray) -> RidgeFactor:
@@ -118,34 +89,6 @@ def leading_triangle(factor: RidgeFactor, n_coef: int) -> np.ndarray:
             shown = ", ".join(f"{d:.3g}" for d in diag)  # on one line, so a CLI error stays one line
             raise RidgeFitError(f"design is rank-deficient at lambda=0 (|R| diagonal {shown})")
     return r
-
-
-def solve_leading(factor: RidgeFactor, n_coef: int) -> np.ndarray:
-    """The n_coef x F coefficients of the fit with the first n_coef basis functions."""
-    r = leading_triangle(factor, n_coef)
-    qth = factor.qth[:n_coef]
-    coeffs = np.empty_like(qth)
-    for i in range(n_coef - 1, -1, -1):
-        coeffs[i] = (qth[i] - r[i, i + 1:] @ coeffs[i + 1:]) / r[i, i]
-    if not np.isfinite(coeffs).all():
-        raise RidgeFitError("ridge solve produced non-finite coefficients")
-    return coeffs
-
-
-def solve_ridge(phi: np.ndarray, features, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
-    """The (M+1) x F ridge coefficients for the K x (M+1) design phi, by QR.
-
-    Every row of phi is folded into the factor of the prior rows sqrt(lam) I
-    and the whole triangle is back-substituted.  At lambda = 0 that needs at
-    least M+1 points in general position; a short cache or a rank-deficient
-    design is a RidgeFitError, never a silent fallback.
-    """
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"regularization strength must be >= 0, got {lam}")
-    H = _as_feature_matrix(features, phi.shape[0])
-    n_coef = phi.shape[1]
-    return solve_leading(fold_rows(RidgeFactor.empty(lam, n_coef, H.shape[1]), phi, H), n_coef)
 
 
 def min_singular(phi: np.ndarray) -> float:

@@ -65,6 +65,7 @@ class GaussianMixtureFlow:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         w = np.asarray(self.weights)
         if w.ndim != 1 or w.size != means.shape[0] or variances.shape != means.shape:
             raise ValueError("weights, means and variances must agree on component count")
@@ -144,6 +145,7 @@ class FunctionFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if not self.channels:
             raise ValueError("function family needs at least one channel")
 
@@ -179,6 +181,9 @@ class BlockStack:
         object.__setattr__(self, "width", _count(self.width, "feature width", least=1))
         if not (math.isfinite(self.gain) and self.gain >= 0.0):
             raise ValueError(f"nonlinearity gain must be finite and >= 0, got {self.gain}")
+        if isinstance(self.gain, bool):  # dumped as true, which a config refuses
+            raise ValueError(f"nonlinearity gain must be a number, got {self.gain!r}")
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.mixing not in ("rotation", "identity"):
             raise ValueError(f"mixing must be 'rotation' or 'identity', got {self.mixing!r}")
         rng = np.random.default_rng(self.seed)

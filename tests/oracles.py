@@ -3,7 +3,10 @@
 The brute-force oracles deliberately avoid the library's own solve paths:
 linear systems go through hand-rolled Gaussian elimination, eigenvalues
 through inertia-count bisection, and conditional expectations through
-Monte-Carlo moment estimates.
+Monte-Carlo moment estimates.  solve_leading is the reference back
+substitution for the ridge coefficients, which the library never forms;
+ridge_fit, ridge_forecast and ridge_coefficients are the one fixture for a
+fit made through the library's fold and forward substitution.
 
 The stateful forecasters below (FeatureCache, TaylorForecaster,
 SpectralForecaster and the functions they call) are the observe/predict
@@ -20,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from chebcast.basis import basis_matrix, basis_row, project_time
-from chebcast.forecasters import spectral_weights
-from chebcast.ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle, solve_leading
+from chebcast.forecasters import spectral_triangle, spectral_weights
+from chebcast.ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle
 from chebcast.sandbox import ForecastPlan, Stretch
 
 
@@ -53,6 +56,35 @@ def brute_ridge(rows, features, lam):
         H = H[:, None]
     normal = rows.T @ rows + lam * np.eye(rows.shape[1])
     return gauss_solve(normal, rows.T @ H)
+
+
+def solve_leading(factor, n_coef):
+    """The n_coef x F coefficients of the fit with the first n_coef basis functions, by back substitution on R."""
+    r = leading_triangle(factor, n_coef)
+    qth = factor.qth[:n_coef]
+    coeffs = np.empty_like(qth)
+    for i in range(n_coef - 1, -1, -1):
+        coeffs[i] = (qth[i] - r[i, i + 1:] @ coeffs[i + 1:]) / r[i, i]
+    if not np.isfinite(coeffs).all():
+        raise RidgeFitError("ridge solve produced non-finite coefficients")
+    return coeffs
+
+
+def ridge_fit(taus, features, degree, lam):
+    """The fit to features at the projected times taus: its factor and triangle, as a spectral plan makes them."""
+    H = np.array(features, dtype=float)
+    factor = fold_rows(RidgeFactor.empty(lam, degree + 1, H.shape[1]), basis_matrix(degree, taus), H)
+    return factor, spectral_triangle(factor, degree)
+
+
+def ridge_forecast(factor, triangle, taus):
+    """The fitted series at the projected times taus, one row each: w @ Q^T H with R^T w = phi(tau)."""
+    return spectral_weights(triangle, basis_matrix(len(triangle) - 1, taus)) @ factor.qth[: len(triangle)]
+
+
+def ridge_coefficients(factor, triangle):
+    """The fit's coefficients C through the forecast path: row i is w @ Q^T H with R^T w = e_i."""
+    return spectral_weights(triangle, np.eye(len(triangle))) @ factor.qth[: len(triangle)]
 
 
 def ridge_objective(phi, features, coeffs, lam):

@@ -19,14 +19,13 @@ from chebcast import (
     EllipseBound,
     ForecasterChoice,
     SolverConfig,
+    basis_matrix,
     basis_row,
-    build_design,
     oracle_run,
     project_time,
     rmse_vs_oracle,
     run_sampler,
     sample_initial_latent,
-    solve_ridge,
     spectral_triangle,
     spectral_weights,
     sweep_report,
@@ -46,7 +45,7 @@ from chebcast.sandbox import (
 )
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
-from oracles import brute_ridge
+from oracles import brute_ridge, ridge_coefficients, ridge_fit
 
 
 BENCHMARK_CHECKPOINTS = (10, 20, 30, 40, 50)
@@ -125,7 +124,7 @@ def test_gate_5_exactness_suite():
             times = np.sort(rng.uniform(0.0, 1.0, degree + 1))
             if degree == 0 or np.min(np.diff(times)) > 0.04:
                 break
-        phi = build_design([project_time(t) for t in times], degree)
+        phi = basis_matrix(degree, [project_time(t) for t in times])
         H = np.array([basis_row(degree, project_time(t)) @ coeffs for t in times])
         fit = fold_rows(RidgeFactor.empty(0.0, degree + 1, 2), phi, H)
         triangle = spectral_triangle(fit, degree)
@@ -231,11 +230,10 @@ def test_gate_8_ridge_matches_brute_force():
         taus = np.sort(rng.uniform(-1.0, 1.0, k))
         while np.min(np.diff(taus)) <= 1e-6:
             taus = np.sort(rng.uniform(-1.0, 1.0, k))
-        phi = build_design(taus, degree)
         features = rng.normal(size=(k, f_dim))
         lam = float(rng.uniform(0.0, 2.0))
-        got = solve_ridge(phi, features, lam)
-        want = brute_ridge(phi, features, lam)
+        got = ridge_coefficients(*ridge_fit(taus, features, degree, lam))
+        want = brute_ridge(basis_matrix(degree, taus), features, lam)
         assert np.max(np.abs(got - want)) <= 1e-8
     report("8: PASS - 100 random instances match the elimination oracle to 1e-8")
 

@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
-from chebcast import EllipseBound, basis_matrix, basis_row, eval_cheb, project_time, truncation_bound
+from chebcast import EllipseBound, basis_matrix, basis_row, project_time, truncation_bound
 
 
 def test_degree_zero_and_one():
-    assert eval_cheb(0, 0.3) == 1.0
-    assert eval_cheb(1, -0.4) == -0.4
+    assert basis_matrix(0, 0.3)[0, 0] == 1.0
+    assert basis_matrix(1, -0.4)[0, 1] == -0.4
 
 
 def test_one_recurrence_step():
-    assert eval_cheb(2, 0.5) == pytest.approx(-0.5, abs=1e-15)
+    assert basis_matrix(2, 0.5)[0, 2] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_value_one_at_right_endpoint():
-    assert eval_cheb(7, 1.0) == 1.0
+    assert basis_matrix(7, 1.0)[0, 7] == 1.0
 
 
 def test_basis_row_at_zero():
@@ -53,9 +53,9 @@ def test_project_time_rejects_out_of_range():
 
 def test_tau_out_of_range_rejected():
     with pytest.raises(ValueError, match="projected time"):
-        eval_cheb(3, 1.0 + 1e-6)
+        basis_matrix(3, 1.0 + 1e-6)
     # boundary slack from projection round-off is legal
-    assert eval_cheb(3, 1.0 + 1e-13) == pytest.approx(1.0)
+    assert basis_matrix(3, 1.0 + 1e-13)[0, 3] == pytest.approx(1.0)
 
 
 def test_basis_matrix_names_first_bad_tau():
@@ -71,7 +71,7 @@ def test_basis_matrix_names_first_bad_tau():
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError, match="degree"):
-        eval_cheb(-1, 0.0)
+        basis_matrix(-1, 0.0)
     with pytest.raises(ValueError, match="degree"):
         basis_row(-2, 0.0)
 
@@ -102,7 +102,7 @@ def test_trigonometric_identity():
     thetas = np.linspace(0.0, np.pi, 500)
     for m in range(33):
         for theta in thetas[::7]:
-            assert abs(eval_cheb(m, np.cos(theta)) - np.cos(m * theta)) <= 1e-10
+            assert abs(basis_matrix(m, np.cos(theta))[0, m] - np.cos(m * theta)) <= 1e-10
 
 
 def test_discrete_orthogonality_at_gauss_nodes():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from chebcast import (
     EllipseBound,
@@ -16,6 +17,7 @@ from chebcast import (
     verify_spectral_bound,
     verify_taylor_attainment,
 )
+from chebcast.bounds import cheb_interpolant_values
 
 EXP_ELLIPSE = EllipseBound(3.0, float(np.exp(0.5 + (3.0 + 1.0 / 3.0) / 4.0)))
 GAPS = np.linspace(0.05, 0.6, 23)
@@ -73,6 +75,26 @@ def test_decay_pole_fixture():
     assert rep.decay_rate == pytest.approx(np.log(2 + np.sqrt(3.0)), rel=0.05)
 
 
+# the chebyshev suite's functions, and exp; each takes a scalar or an array
+INTERPOLATED = {
+    "cubic": lambda tau: tau**3,
+    "pole at 2": lambda tau: 1.0 / (tau - 2.0),
+    "constant": lambda tau: 5.0 + 0.0 * tau,
+    "exp": np.exp,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERPOLATED))
+def test_interpolant_matches_numpy_chebinterpolate(name):
+    """numpy interpolates at the same first-kind nodes, through its own coefficients and Clenshaw sums."""
+    f = INTERPOLATED[name]
+    grid = np.linspace(-1.0, 1.0, 2001)
+    for degree in range(13):
+        ref = chebval(grid, chebinterpolate(f, degree))
+        got = cheb_interpolant_values(f, degree, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), degree
+
+
 def test_spectral_bound_lambda_zero_collapse():
     ellipse = EllipseBound(2.0, 1.0)
     eps = 0.02
@@ -117,10 +139,10 @@ def test_polynomial_channel_trivial_containment():
     assert rep.contained
 
 
-# Each fit layer imports only the layers below it, so the batch and streaming
-# fits stay in ridge and forecasters and bounds stays pure math: no sampler.
+# Each fit layer imports only the layers below it, so the fold stays in ridge,
+# which takes its design rows ready-made, and bounds stays pure math: no sampler.
 LAYERS = {
-    "ridge": {"basis"},
+    "ridge": set(),
     "forecasters": {"ridge"},
     "bounds": {"basis", "forecasters", "ridge"},
 }

@@ -20,13 +20,11 @@ from chebcast import (
     min_singular,
     project_time,
     spectral_bound,
-    spectral_triangle,
     spectral_weights,
     taylor_weights,
     uniform_schedule,
 )
 from chebcast.sandbox import PolynomialChannel, plan_forecasts
-from chebcast.ridge import RidgeFactor, build_design, fold_rows, solve_leading
 
 from oracles import (
     FeatureCache,
@@ -34,6 +32,10 @@ from oracles import (
     SpectralForecaster,
     brute_ridge,
     naive_forecast,
+    ridge_coefficients,
+    ridge_fit,
+    ridge_forecast,
+    solve_leading,
     spectral_fit,
     spectral_forecast,
     taylor_forecast,
@@ -46,20 +48,6 @@ def filled_cache(pairs):
     for t, h in pairs:
         cache.insert(t, h)
     return cache
-
-
-def ridge_fit(times, features, degree, lam):
-    """The fit to features at the sorted times: its factor and leading triangle, as a spectral plan makes them."""
-    H = np.array(features, dtype=float)
-    phi = build_design([project_time(t) for t in times], degree)
-    factor = fold_rows(RidgeFactor.empty(lam, degree + 1, H.shape[1]), phi, H)
-    return factor, spectral_triangle(factor, degree)
-
-
-def ridge_forecast(factor, triangle, t):
-    """w @ Q^T H with R^T w = phi(2t-1)."""
-    w = spectral_weights(triangle, basis_row(len(triangle) - 1, project_time(t))[None])[0]
-    return w @ factor.qth[: len(triangle)]
 
 
 # --- cache ---------------------------------------------------------------
@@ -179,7 +167,7 @@ def test_a_batched_weight_row_is_bitwise_its_single_row_call(kind, order, degree
         batch = taylor_weights(times, ts, order)
         rows = [taylor_weights(times, [t], order)[0] for t in ts]
     else:
-        _, triangle = ridge_fit(times, np.empty((n_points, 0)), degree, lam)
+        _, triangle = ridge_fit(2.0 * times - 1.0, np.empty((n_points, 0)), degree, lam)
         phi = basis_matrix(len(triangle) - 1, [project_time(t) for t in ts])
         batch = spectral_weights(triangle, phi)
         rows = [spectral_weights(triangle, row[None])[0] for row in phi]
@@ -200,10 +188,10 @@ def test_polynomial_interpolation_reproduces_cache():
     rng = np.random.default_rng(2)
     coeffs = rng.normal(size=(5, 3))
     times = np.sort(rng.uniform(0.0, 1.0, 5))
-    factor, triangle = ridge_fit(times, [basis_row(4, project_time(t)) @ coeffs for t in times], 4, 0.0)
+    factor, triangle = ridge_fit(2.0 * times - 1.0, [basis_row(4, project_time(t)) @ coeffs for t in times], 4, 0.0)
     for t in times:
         expected = basis_row(4, project_time(t)) @ coeffs
-        np.testing.assert_allclose(ridge_forecast(factor, triangle, t), expected, atol=1e-9)
+        np.testing.assert_allclose(ridge_forecast(factor, triangle, project_time(t))[0], expected, atol=1e-9)
 
 
 def test_polynomial_exactness_all_degrees():
@@ -216,10 +204,11 @@ def test_polynomial_exactness_all_degrees():
                 if degree == 0 or np.min(np.diff(times)) > 0.04:
                     break
             features = [basis_row(degree, project_time(t)) @ coeffs for t in times]
-            factor, triangle = ridge_fit(times, features, degree, 0.0)
+            factor, triangle = ridge_fit(2.0 * times - 1.0, features, degree, 0.0)
             for t_query in rng.uniform(0.0, 1.0, 50):
                 expected = basis_row(degree, project_time(t_query)) @ coeffs
-                np.testing.assert_allclose(ridge_forecast(factor, triangle, t_query), expected, atol=1e-9)
+                pred = ridge_forecast(factor, triangle, project_time(t_query))[0]
+                np.testing.assert_allclose(pred, expected, atol=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,20 +226,21 @@ def test_lambda_zero_fit_reproduces_polynomial_channels(degree, poly_degree, ext
     n_points = degree + 1 + extra
     # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
     times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
-    factor, triangle = ridge_fit(times, [[channel(t)] for t in times], degree, 0.0)
-    np.testing.assert_allclose(ridge_forecast(factor, triangle, t_query), [channel(t_query)], rtol=0.0, atol=1e-9)
+    factor, triangle = ridge_fit(2.0 * times - 1.0, [[channel(t)] for t in times], degree, 0.0)
+    pred = ridge_forecast(factor, triangle, project_time(t_query))[0]
+    np.testing.assert_allclose(pred, [channel(t_query)], rtol=0.0, atol=1e-9)
 
 
 def test_single_point_ridge_shrinkage():
-    factor, triangle = ridge_fit([0.3], [[2.0, -1.0]], 4, 0.1)
-    pred = ridge_forecast(factor, triangle, 0.3)
+    factor, triangle = ridge_fit([project_time(0.3)], [[2.0, -1.0]], 4, 0.1)
+    pred = ridge_forecast(factor, triangle, project_time(0.3))[0]
     row = basis_row(4, project_time(0.3))
     shrink = (row @ row) / (row @ row + 0.1)
     np.testing.assert_allclose(pred, shrink * np.array([2.0, -1.0]), atol=1e-12)
     assert np.linalg.norm(pred) < np.linalg.norm([2.0, -1.0])
     # cross-check against the brute-force normal-equation oracle
     brute = brute_ridge(row[None, :], np.array([[2.0, -1.0]]), 0.1)
-    np.testing.assert_allclose(solve_leading(factor, 5), brute, atol=1e-10)
+    np.testing.assert_allclose(ridge_coefficients(factor, triangle), brute, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -305,7 +295,7 @@ def test_sine_channel_error_below_bound_ceiling():
     times = np.linspace(0.0, 1.0, 6)
     cache = filled_cache([(t, [np.sin(2 * np.pi * t)]) for t in times])
     state = spectral_fit(cache, SpectralConfig(degree=4, lam=0.1))
-    phi = build_design([project_time(t) for t in times], 4)
+    phi = basis_matrix(4, 2.0 * times - 1.0)
     from chebcast import truncation_bound
 
     ceiling = spectral_bound(
@@ -451,11 +441,12 @@ def test_triangle_forecast_matches_coefficient_forecast(degree, lam, n_channels,
     n_points = degree + 1 + extra
     # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
     times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
-    factor, triangle = ridge_fit(times, rng.normal(size=(n_points, n_channels)), degree, lam)
+    factor, triangle = ridge_fit(2.0 * times - 1.0, rng.normal(size=(n_points, n_channels)), degree, lam)
     coeffs = solve_leading(factor, len(triangle))
     via_coeffs = basis_row(len(triangle) - 1, project_time(t_query)) @ coeffs
     scale = max(1.0, np.abs(coeffs).sum())
-    np.testing.assert_allclose(ridge_forecast(factor, triangle, t_query), via_coeffs, rtol=0.0, atol=1e-12 * scale)
+    pred = ridge_forecast(factor, triangle, project_time(t_query))[0]
+    np.testing.assert_allclose(pred, via_coeffs, rtol=0.0, atol=1e-12 * scale)
 
 
 @settings(max_examples=80, deadline=None)

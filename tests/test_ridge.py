@@ -1,4 +1,4 @@
-"""Tests for the design matrix and the closed-form ridge solve."""
+"""Tests for the ridge fit: the QR fold, the fitted series and the coefficients it implies."""
 
 import subprocess
 import sys
@@ -8,72 +8,52 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chebcast import (
-    RidgeFitError,
-    build_design,
-    min_singular,
-    solve_ridge,
+from chebcast import RidgeFitError, basis_matrix, min_singular, spectral_triangle
+from chebcast.ridge import RidgeFactor, fold_rows, leading_triangle
+
+from oracles import (
+    brute_ridge,
+    ridge_coefficients,
+    ridge_fit,
+    ridge_forecast,
+    ridge_objective,
+    smallest_eig_bisect,
+    solve_leading,
 )
-from chebcast.ridge import RidgeFactor, fold_rows, solve_leading
-
-from oracles import brute_ridge, ridge_objective, smallest_eig_bisect
-
-
-def test_design_rows_linear_basis():
-    phi = build_design([-1.0, 0.0, 1.0], 1)
-    np.testing.assert_allclose(phi, [[1, -1], [1, 0], [1, 1]])
-
-
-def test_design_single_point_degree_two():
-    phi = build_design([0.0], 2)
-    np.testing.assert_allclose(phi, [[1.0, 0.0, -1.0]])
-
-
-def test_design_constant_basis():
-    phi = build_design([-1.0, 1.0], 0)
-    np.testing.assert_allclose(phi, [[1.0], [1.0]])
-
-
-def test_design_rejects_non_monotone():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        build_design([0.0, 0.0], 1)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        build_design([0.5, -0.5], 1)
-    with pytest.raises(ValueError, match="non-empty"):
-        build_design([], 1)
 
 
 def test_interpolation_case():
     rng = np.random.default_rng(1)
     taus = np.array([-0.9, -0.2, 0.4, 0.8])
-    phi = build_design(taus, 3)
     H = rng.normal(size=(4, 3))
-    C = solve_ridge(phi, H, 0.0)
-    assert np.max(np.abs(phi @ C - H)) <= 1e-10
+    fit, triangle = ridge_fit(taus, H, 3, 0.0)
+    assert np.max(np.abs(ridge_forecast(fit, triangle, taus) - H)) <= 1e-10
 
 
 def test_infinite_regularization_limit():
     rng = np.random.default_rng(2)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 5)), 2)
+    taus = np.sort(rng.uniform(-1, 1, 5))
+    phi = basis_matrix(2, taus)
     H = rng.normal(size=(5, 4))
-    C = solve_ridge(phi, H, 1e12)
+    C = ridge_coefficients(*ridge_fit(taus, H, 2, 1e12))
     assert np.linalg.norm(C) <= 1e-6 * np.linalg.norm(phi.T @ H)
 
 
 def test_matches_brute_force_oracle():
     rng = np.random.default_rng(3)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 6)), 2)
+    taus = np.sort(rng.uniform(-1, 1, 6))
     H = rng.normal(size=(6, 2))
-    C = solve_ridge(phi, H, 0.1)
-    np.testing.assert_allclose(C, brute_ridge(phi, H, 0.1), atol=1e-8)
+    C = ridge_coefficients(*ridge_fit(taus, H, 2, 0.1))
+    np.testing.assert_allclose(C, brute_ridge(basis_matrix(2, taus), H, 0.1), atol=1e-8)
 
 
 def test_normal_equation_residual():
     rng = np.random.default_rng(4)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 9)), 4)
+    taus = np.sort(rng.uniform(-1, 1, 9))
+    phi = basis_matrix(4, taus)
     H = rng.normal(size=(9, 5))
     lam = 0.3
-    C = solve_ridge(phi, H, lam)
+    C = ridge_coefficients(*ridge_fit(taus, H, 4, lam))
     normal = phi.T @ phi + lam * np.eye(5)
     rhs = phi.T @ H
     resid = np.linalg.norm(normal @ C - rhs) / np.linalg.norm(rhs)
@@ -94,38 +74,38 @@ def test_solve_matches_brute_force_property(degree, n_channels, lam, extra, seed
     n_points = degree + 1 + extra
     # one tau per cell of a uniform grid keeps the lambda=0 design well conditioned
     taus = 2.0 * (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points - 1.0
-    phi = build_design(taus, degree)
     H = rng.normal(size=(n_points, n_channels))
-    np.testing.assert_allclose(solve_ridge(phi, H, lam), brute_ridge(phi, H, lam), rtol=0.0, atol=1e-8)
+    got = ridge_coefficients(*ridge_fit(taus, H, degree, lam))
+    np.testing.assert_allclose(got, brute_ridge(basis_matrix(degree, taus), H, lam), rtol=0.0, atol=1e-8)
 
 
 def test_short_cache_with_ridge_is_fine():
-    phi = build_design([-1.0, -0.9], 4)
-    C = solve_ridge(phi, np.ones((2, 3)), 0.1)
+    C = ridge_coefficients(*ridge_fit([-1.0, -0.9], np.ones((2, 3)), 4, 0.1))
     assert C.shape == (5, 3)
     assert np.all(np.isfinite(C))
 
 
 def test_short_cache_without_ridge_fails_deterministically():
-    phi = build_design([-1.0, -0.9], 4)
+    fit, _ = ridge_fit([-1.0, -0.9], np.ones((2, 1)), 4, 0.0)  # a plan would cap the degree at 1
     with pytest.raises(RidgeFitError, match="lambda=0"):
-        solve_ridge(phi, np.ones((2, 1)), 0.0)
+        leading_triangle(fit, 5)
 
 
 def test_rank_deficient_design_without_ridge_fails():
     # three rows, but the second basis column is identically zero
     phi = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    fits = {lam: fold_rows(RidgeFactor.empty(lam, 2, 1), phi, np.ones((3, 1))) for lam in (0.0, 0.1)}
     with pytest.raises(RidgeFitError, match="rank-deficient"):
-        solve_ridge(phi, np.ones((3, 1)), 0.0)
-    assert np.all(np.isfinite(solve_ridge(phi, np.ones((3, 1)), 0.1)))
+        spectral_triangle(fits[0.0], 1)
+    assert np.all(np.isfinite(ridge_coefficients(fits[0.1], spectral_triangle(fits[0.1], 1))))
 
 
 def test_clustered_degree_eight_fits_polynomial_data_to_round_off():
     # cond(Phi) ~ 3e12: the normal equations square it past 1/eps
-    phi = build_design(np.linspace(-1.0, -0.8, 20), 8)
-    H = phi @ np.random.default_rng(13).normal(size=(9, 3))
-    C = solve_ridge(phi, H, 0.0)
-    assert np.max(np.abs(phi @ C - H)) < 1e-12
+    taus = np.linspace(-1.0, -0.8, 20)
+    H = basis_matrix(8, taus) @ np.random.default_rng(13).normal(size=(9, 3))
+    fit, triangle = ridge_fit(taus, H, 8, 0.0)
+    assert np.max(np.abs(ridge_forecast(fit, triangle, taus) - H)) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -136,11 +116,11 @@ def test_prior_factor_folds_rows_like_one_batch(lam):
         n_points = degree + 2 + int(rng.integers(0, 6))
         taus = 2.0 * (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points - 1.0
         H = rng.normal(size=(n_points, int(rng.integers(1, 5))))
-        batch = solve_ridge(build_design(taus, degree), H, lam)
+        batch = solve_leading(ridge_fit(taus, H, degree, lam)[0], degree + 1)
         split = int(rng.integers(1, n_points))
         empty = RidgeFactor.empty(lam, degree + 1, H.shape[1])
-        head = fold_rows(empty, build_design(taus[:split], degree), H[:split])
-        tail = fold_rows(head, build_design(taus[split:], degree), H[split:])
+        head = fold_rows(empty, basis_matrix(degree, taus[:split]), H[:split])
+        tail = fold_rows(head, basis_matrix(degree, taus[split:]), H[split:])
         assert tail.n_points == n_points
         folded = solve_leading(tail, degree + 1)
         np.testing.assert_allclose(folded, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
@@ -151,8 +131,8 @@ def test_leading_block_solve_is_the_lower_degree_fit():
     taus = np.sort(rng.uniform(-1, 1, 9))
     H = rng.normal(size=(9, 2))
     for lam in (0.0, 0.1):
-        factor = fold_rows(RidgeFactor.empty(lam, 6, 2), build_design(taus, 5), H)
-        direct = solve_ridge(build_design(taus, 2), H, lam)
+        factor, _ = ridge_fit(taus, H, 5, lam)
+        direct = solve_leading(ridge_fit(taus, H, 2, lam)[0], 3)
         np.testing.assert_allclose(solve_leading(factor, 3), direct, rtol=0.0, atol=1e-12)
 
 
@@ -160,12 +140,6 @@ def test_import_leaves_scipy_out():
     code = "import sys, chebcast; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
-
-
-def test_shape_mismatch_rejected():
-    phi = build_design([-0.5, 0.5], 1)
-    with pytest.raises(ValueError, match="one row per design row"):
-        solve_ridge(phi, np.ones((3, 2)), 0.1)
 
 
 def test_min_singular_identity():
@@ -181,7 +155,7 @@ def test_min_singular_rank_deficient():
 def test_min_singular_matches_bisection_oracle():
     rng = np.random.default_rng(5)
     for trial in range(5):
-        phi = build_design(np.sort(rng.uniform(-1, 1, 8)), 2)
+        phi = basis_matrix(2, np.sort(rng.uniform(-1, 1, 8)))
         gram = phi.T @ phi
         expected = np.sqrt(max(smallest_eig_bisect(gram), 0.0))
         assert min_singular(phi) == pytest.approx(expected, abs=1e-8)
@@ -189,24 +163,26 @@ def test_min_singular_matches_bisection_oracle():
 
 def test_objective_zero_for_interpolant():
     rng = np.random.default_rng(6)
-    phi = build_design(np.array([-0.8, -0.1, 0.6]), 2)
+    taus = np.array([-0.8, -0.1, 0.6])
+    phi = basis_matrix(2, taus)
     H = rng.normal(size=(3, 2))
-    C = solve_ridge(phi, H, 0.0)
+    C = ridge_coefficients(*ridge_fit(taus, H, 2, 0.0))
     assert ridge_objective(phi, H, C, 0.0) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_objective_zero_coefficients():
     rng = np.random.default_rng(7)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 4)), 1)
+    phi = basis_matrix(1, np.sort(rng.uniform(-1, 1, 4)))
     H = rng.normal(size=(4, 3))
     assert ridge_objective(phi, H, np.zeros((2, 3)), 0.5) == pytest.approx(float(np.sum(H * H)))
 
 
 def test_objective_matches_direct_summation():
     rng = np.random.default_rng(8)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 7)), 3)
+    taus = np.sort(rng.uniform(-1, 1, 7))
+    phi = basis_matrix(3, taus)
     H = rng.normal(size=(7, 2))
-    C = solve_ridge(phi, H, 0.2)
+    C = ridge_coefficients(*ridge_fit(taus, H, 3, 0.2))
     direct = 0.0
     for k in range(7):
         for i in range(2):
@@ -219,10 +195,11 @@ def test_objective_matches_direct_summation():
 
 def test_fitted_coefficients_are_optimal():
     rng = np.random.default_rng(9)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 8)), 3)
+    taus = np.sort(rng.uniform(-1, 1, 8))
+    phi = basis_matrix(3, taus)
     H = rng.normal(size=(8, 2))
     lam = 0.1
-    C = solve_ridge(phi, H, lam)
+    C = ridge_coefficients(*ridge_fit(taus, H, 3, lam))
     base = ridge_objective(phi, H, C, lam)
     for _ in range(100):
         delta = rng.normal(size=C.shape)
@@ -232,27 +209,27 @@ def test_fitted_coefficients_are_optimal():
 
 def test_coefficient_norm_monotone_in_lambda():
     rng = np.random.default_rng(10)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 7)), 3)
+    taus = np.sort(rng.uniform(-1, 1, 7))
     H = rng.normal(size=(7, 3))
     lams = [0.0, 0.01, 0.1, 1.0, 10.0]
-    norms = [np.linalg.norm(solve_ridge(phi, H, lam)) for lam in lams]
+    norms = [np.linalg.norm(ridge_coefficients(*ridge_fit(taus, H, 3, lam))) for lam in lams]
     assert all(n1 >= n2 for n1, n2 in zip(norms, norms[1:]))
 
 
 def test_columns_decouple():
     rng = np.random.default_rng(11)
-    phi = build_design(np.sort(rng.uniform(-1, 1, 6)), 2)
+    taus = np.sort(rng.uniform(-1, 1, 6))
     H = rng.normal(size=(6, 4))
-    joint = solve_ridge(phi, H, 0.3)
+    joint = ridge_coefficients(*ridge_fit(taus, H, 2, 0.3))
     for i in range(4):
-        single = solve_ridge(phi, H[:, i], 0.3)[:, 0]
+        single = ridge_coefficients(*ridge_fit(taus, H[:, i:i + 1], 2, 0.3))[:, 0]
         np.testing.assert_allclose(joint[:, i], single, atol=1e-12)
 
 
 def test_min_singular_lower_bounds_normal_matrix():
     rng = np.random.default_rng(12)
     for _ in range(5):
-        phi = build_design(np.sort(rng.uniform(-1, 1, 9)), 4)
+        phi = basis_matrix(4, np.sort(rng.uniform(-1, 1, 9)))
         lam = rng.uniform(0.0, 1.0)
         normal = phi.T @ phi + lam * np.eye(5)
         smallest = smallest_eig_bisect(normal)
