@@ -15,8 +15,8 @@ from .bounds import (
     verify_spectral_bound,
     verify_taylor_attainment,
 )
-from .forecasters import spectral_triangle, spectral_weights, taylor_weights
-from .ridge import RidgeFitError, min_singular
+from .forecasters import spectral_weights, taylor_weights
+from .ridge import RidgeFitError, leading_triangle, min_singular
 from .sandbox import (
     BlockStack,
     ExponentialChannel,

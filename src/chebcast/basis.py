@@ -10,6 +10,7 @@ reserved for tests; production code never round-trips through arccos.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,10 @@ class EllipseBound:
     sup_bound: float
 
     def __post_init__(self):
-        if not (self.rho > 1.0):
-            raise ValueError(f"ellipse parameter must be > 1, got {self.rho}")
-        if not (self.sup_bound > 0.0):
-            raise ValueError(f"sup bound must be > 0, got {self.sup_bound}")
+        if not (1.0 < self.rho < math.inf):
+            raise ValueError(f"ellipse parameter must be finite and > 1, got {self.rho}")
+        if not (0.0 < self.sup_bound < math.inf):
+            raise ValueError(f"sup bound must be finite and > 0, got {self.sup_bound}")
 
 
 def truncation_bound(ellipse: EllipseBound, degree: int) -> float:

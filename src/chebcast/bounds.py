@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EllipseBound, basis_matrix, project_time, truncation_bound
-from .forecasters import spectral_triangle, spectral_weights
-from .ridge import RidgeFactor, fold_rows, min_singular
+from .forecasters import spectral_weights
+from .ridge import RidgeFactor, fold_rows, leading_triangle, min_singular, rotate_features
 
 DENSE_GRID = 10_000
 
@@ -75,8 +75,9 @@ def cheb_interpolant_values(f, degree: int, grid: np.ndarray) -> np.ndarray:
     k = np.arange(degree + 1)
     nodes = np.sort(np.cos((2 * k + 1) * np.pi / (2 * (degree + 1))))
     values = np.asarray([f(tau) for tau in nodes])[:, None]
-    fit = fold_rows(RidgeFactor.empty(0.0, degree + 1, 1), basis_matrix(degree, nodes), values)
-    return (spectral_weights(spectral_triangle(fit, degree), basis_matrix(degree, grid)) @ fit.qth)[:, 0]
+    fit = fold_rows(RidgeFactor.empty(0.0, degree + 1), basis_matrix(degree, nodes))
+    qth = rotate_features(fit.q, np.zeros((degree + 1, 1)), values)
+    return (spectral_weights(leading_triangle(fit, degree), basis_matrix(degree, grid)) @ qth)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,9 @@ def verify_spectral_bound(
     k = np.arange(n_nodes)
     nodes = np.sort(fit_end / 2.0 + fit_end / 2.0 * np.cos((2 * k + 1) * np.pi / (2 * n_nodes)))
     phi = basis_matrix(degree, [project_time(t) for t in nodes])
-    fit = fold_rows(RidgeFactor.empty(lam, degree + 1, 1), phi, np.array([[channel(t)] for t in nodes]))
-    triangle = spectral_triangle(fit, degree)
+    fit = fold_rows(RidgeFactor.empty(lam, degree + 1), phi)
+    qth = rotate_features(fit.q, np.zeros((degree + 1, 1)), np.array([[channel(t)] for t in nodes]))
+    triangle = leading_triangle(fit, degree)
     sigma = min_singular(phi)
     eps_m = truncation_bound(ellipse, degree)
     bound = spectral_bound(eps_m, degree, n_nodes, sigma, lam, ellipse)
@@ -203,9 +205,9 @@ def verify_spectral_bound(
     gaps = tuple(float(g) for g in gaps)
     t_queries = [float(nodes[-1]) + gap for gap in gaps]
     taus = [project_time(t) for t in t_queries]
-    weights = spectral_weights(triangle, basis_matrix(len(triangle) - 1, taus))
+    weights = spectral_weights(triangle, basis_matrix(degree, taus))
     # one w @ Q^T H product a gap, as the forecaster makes them
-    errors = [float(abs(channel(t) - (w @ fit.qth[: len(w)])[0])) for t, w in zip(t_queries, weights)]
+    errors = [float(abs(channel(t) - (w @ qth[: len(w)])[0])) for t, w in zip(t_queries, weights)]
     contained = bool(all(err <= bound for err in errors))
     # An exact fit (a polynomial channel at lambda = 0) can forecast some gap
     # with zero error, where the ratio has no finite value.

@@ -27,7 +27,7 @@ from .sandbox import (
     SineChannel,
     SolverConfig,
 )
-from .schedule import ScheduleParams, adaptive_schedule
+from .schedule import ScheduleParams, _count, adaptive_schedule
 
 
 class ConfigError(ValueError):
@@ -50,8 +50,12 @@ class ExperimentConfig:
             object.__setattr__(self, "checkpoints", (n,))
         if not self.seeds:
             raise ValueError("seeds must be a non-empty list")
-        for step in self.checkpoints:
-            if not 1 <= step <= n:
+        # each as an int, so a config dumps only what load_config reads back
+        object.__setattr__(self, "seeds", tuple(_count(seed, "seed") for seed in self.seeds))
+        checkpoints = tuple(_count(step, "checkpoint", least=1) for step in self.checkpoints)
+        object.__setattr__(self, "checkpoints", checkpoints)
+        for step in checkpoints:
+            if step > n:
                 raise ValueError(f"checkpoints must lie in [1, {n}], got {step}")
         if self.forecaster.cache_scope == "per_block" and not isinstance(self.spec, BlockStack):
             raise ValueError("per-block caching requires a block_stack denoiser")

@@ -10,14 +10,12 @@ forecast alone gives.  The Taylor forecaster extrapolates a local
 polynomial built from divided differences of the most recent entries; at
 order 0 it is naive reuse, a copy of the newest entry.  The spectral
 forecaster fits global Chebyshev coefficients by ridge regression and
-evaluates the fitted series.
+evaluates the fitted series, solved on the fit's triangle of R.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .ridge import RidgeFactor, leading_triangle
 
 
 def taylor_weights(times, ts, order: int) -> np.ndarray:
@@ -55,30 +53,17 @@ def taylor_weights(times, ts, order: int) -> np.ndarray:
     return weights
 
 
-def spectral_triangle(factor: RidgeFactor, degree: int) -> np.ndarray:
-    """The fit's leading triangle R for the degree.
-
-    At lambda = 0 an exact solve needs degree+1 points, so a fit to fewer is
-    solved at degree n_points-1 (the interpolant); with lambda > 0 the full
-    degree is always solvable.  leading_triangle checks that the fit is
-    solvable at that width.
-    """
-    if factor.lam == 0.0:
-        degree = min(degree, factor.n_points - 1)
-    return leading_triangle(factor, degree + 1)
-
-
 def spectral_weights(triangle: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The rows w with R^T w = phi on the fit's triangle: the forecast at a row's time is w @ Q^T H.
 
-    phi holds one basis row a forecast, as wide as the triangle.  C solves
-    R C = Q^T H, so phi @ C = w @ Q^T H without forming C.  Both are
-    backward-stable solves with the same R, so the forecast is as accurate
-    as phi @ C.  This is one forward substitution on the triangle, a column
-    of w at a time across the rows; w depends on the cached times alone,
-    never on the features.
+    phi holds one basis row a forecast, of which the first len(triangle)
+    columns are read.  C solves R C = Q^T H, so phi @ C = w @ Q^T H
+    without forming C.  Both are backward-stable solves with the same R, so
+    the forecast is as accurate as phi @ C.  This is one forward
+    substitution on the triangle, a column of w at a time across the rows;
+    w depends on the cached times alone, never on the features.
     """
-    w = np.array(phi, dtype=float)
+    w = np.array(np.asarray(phi)[:, : len(triangle)], dtype=float)
     for i in range(w.shape[1]):
         w[:, i] /= triangle[i, i]
         # each later column takes its term in w[:, i] now, in the order R^T's row lists them

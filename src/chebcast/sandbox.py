@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .basis import basis_matrix
-from .forecasters import spectral_triangle, spectral_weights, taylor_weights
-from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, rotate_features
+from .forecasters import spectral_weights, taylor_weights
+from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle, rotate_features
 from .schedule import ActivationSchedule, ScheduleParams, _count, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -37,6 +37,13 @@ CACHE_SCOPES = ("last_block", "per_block")
 
 class SamplerError(RuntimeError):
     """A non-finite feature at an actual pass of a sampling run, annotated with the run's kind and the step."""
+
+
+def _finite(values, what: str) -> None:
+    """Refuse a NaN or infinite number among values (a number or an array of them), naming what they are."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{what} must be finite, got {float(np.asarray(values)[bad].flat[0])}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +76,8 @@ class GaussianMixtureFlow:
         w = np.asarray(self.weights)
         if w.ndim != 1 or w.size != means.shape[0] or variances.shape != means.shape:
             raise ValueError("weights, means and variances must agree on component count")
+        for values, what in ((w, "mixture weights"), (means, "mixture means"), (variances, "mixture variances")):
+            _finite(values, what)
         if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be non-negative and sum to 1")
         if np.any(variances <= 0.0):
@@ -101,8 +110,16 @@ class GaussianMixtureFlow:
         return resp @ v_comp
 
 
+class _FiniteParams:
+    """A channel whose every parameter is refused at construction if NaN or infinite."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _finite(getattr(self, f.name), f"channel {f.name}")
+
+
 @dataclass(frozen=True)
-class PolynomialChannel:
+class PolynomialChannel(_FiniteParams):
     coefficients: tuple[float, ...]  # ascending powers of t
 
     def __call__(self, t: float) -> float:
@@ -113,7 +130,7 @@ class PolynomialChannel:
 
 
 @dataclass(frozen=True)
-class SineChannel:
+class SineChannel(_FiniteParams):
     amplitude: float = 1.0
     frequency: float = 1.0  # cycles over t in [0, 1]
     phase: float = 0.0
@@ -123,7 +140,7 @@ class SineChannel:
 
 
 @dataclass(frozen=True)
-class ExponentialChannel:
+class ExponentialChannel(_FiniteParams):
     scale: float = 1.0
     rate: float = 1.0
 
@@ -357,11 +374,10 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
         try:
             if spectral:
                 if fit is None or k > window:  # fold the whole window afresh, from the prior rows alone
-                    fit = RidgeFactor.empty(choice.lam, choice.degree + 1, 0)
+                    fit = RidgeFactor.empty(choice.lam, choice.degree + 1)
                 new = min(k, window) - fit.n_points
-                fit = fold_rows(fit, pass_rows[k - new:k], np.empty((new, 0)))  # the fold depends on the rows alone
-                triangle = spectral_triangle(fit, choice.degree)
-                weights = spectral_weights(triangle, phi[start:stop, :len(triangle)])
+                fit = fold_rows(fit, pass_rows[k - new:k])
+                weights = spectral_weights(leading_triangle(fit, choice.degree), phi[start:stop])
                 stretch = Stretch(start, stop, k - new, k, weights, fit.q, fit.n_points == new)
             else:
                 weights = taylor_weights(pass_times[max(0, k - min(window, order + 1)):k], times[start:stop], order)
@@ -556,8 +572,8 @@ def rmse_vs_oracle(run: TrajectoryRecord, oracle: TrajectoryRecord, checkpoints)
         )
     out = []
     for step in checkpoints:
-        step = int(step)
-        if not (1 <= step <= run.n_steps):
+        step = _count(step, "checkpoint", least=1)
+        if step > run.n_steps:
             raise ValueError(f"checkpoint {step} outside [1, {run.n_steps}]")
         diff = run.states[step - 1] - oracle.states[step - 1]
         out.append(float(np.sqrt(np.mean(diff * diff))))

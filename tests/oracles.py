@@ -6,7 +6,8 @@ through inertia-count bisection, and conditional expectations through
 Monte-Carlo moment estimates.  solve_leading is the reference back
 substitution for the ridge coefficients, which the library never forms;
 ridge_fit, ridge_forecast and ridge_coefficients are the one fixture for a
-fit made through the library's fold and forward substitution.
+fit made through the library's fold and forward substitution, with the
+features' Q^T H carried beside the factor as a run carries it.
 
 The stateful forecasters below (FeatureCache, TaylorForecaster,
 SpectralForecaster and the functions they call) are the observe/predict
@@ -23,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from chebcast.basis import basis_matrix, basis_row, project_time
-from chebcast.forecasters import spectral_triangle, spectral_weights
-from chebcast.ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle
+from chebcast.forecasters import spectral_weights
+from chebcast.ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle, rotate_features
 from chebcast.sandbox import ForecastPlan, Stretch
 
 
@@ -58,33 +59,32 @@ def brute_ridge(rows, features, lam):
     return gauss_solve(normal, rows.T @ H)
 
 
-def solve_leading(factor, n_coef):
-    """The n_coef x F coefficients of the fit with the first n_coef basis functions, by back substitution on R."""
-    r = leading_triangle(factor, n_coef)
-    qth = factor.qth[:n_coef]
-    coeffs = np.empty_like(qth)
+def solve_leading(qth, triangle):
+    """The coefficients of the fit on the leading triangle of R, by back substitution on Q^T H's leading rows."""
+    n_coef = len(triangle)
+    coeffs = np.empty_like(qth[:n_coef])
     for i in range(n_coef - 1, -1, -1):
-        coeffs[i] = (qth[i] - r[i, i + 1:] @ coeffs[i + 1:]) / r[i, i]
+        coeffs[i] = (qth[i] - triangle[i, i + 1:] @ coeffs[i + 1:]) / triangle[i, i]
     if not np.isfinite(coeffs).all():
         raise RidgeFitError("ridge solve produced non-finite coefficients")
     return coeffs
 
 
 def ridge_fit(taus, features, degree, lam):
-    """The fit to features at the projected times taus: its factor and triangle, as a spectral plan makes them."""
+    """The fit to features at the projected times taus: its Q^T H and triangle, as a plan and a run make them."""
     H = np.array(features, dtype=float)
-    factor = fold_rows(RidgeFactor.empty(lam, degree + 1, H.shape[1]), basis_matrix(degree, taus), H)
-    return factor, spectral_triangle(factor, degree)
+    factor = fold_rows(RidgeFactor.empty(lam, degree + 1), basis_matrix(degree, taus))
+    return rotate_features(factor.q, np.zeros((degree + 1, H.shape[1])), H), leading_triangle(factor, degree)
 
 
-def ridge_forecast(factor, triangle, taus):
+def ridge_forecast(qth, triangle, taus):
     """The fitted series at the projected times taus, one row each: w @ Q^T H with R^T w = phi(tau)."""
-    return spectral_weights(triangle, basis_matrix(len(triangle) - 1, taus)) @ factor.qth[: len(triangle)]
+    return spectral_weights(triangle, basis_matrix(len(qth) - 1, taus)) @ qth[: len(triangle)]
 
 
-def ridge_coefficients(factor, triangle):
+def ridge_coefficients(qth, triangle):
     """The fit's coefficients C through the forecast path: row i is w @ Q^T H with R^T w = e_i."""
-    return spectral_weights(triangle, np.eye(len(triangle))) @ factor.qth[: len(triangle)]
+    return spectral_weights(triangle, np.eye(len(triangle))) @ qth[: len(triangle)]
 
 
 def ridge_objective(phi, features, coeffs, lam):
@@ -310,26 +310,28 @@ class SpectralConfig:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """A fit to the cache: the QR factor of every cached entry up to fitted_at.
+    """A fit to the cache: the QR factor of every cached entry up to fitted_at, and the cache's Q^T H.
 
-    The next fit to the same cache folds its new entries into factor.  A
-    forecast reads only triangle; coeffs is solved only when it is read.
+    The next fit to the same cache folds its new entries into factor and
+    carries qth through that fold.  A forecast reads only triangle; coeffs
+    is solved only when it is read.
     """
 
     factor: RidgeFactor
+    qth: np.ndarray
     degree: int
     fitted_at: float
 
     @cached_property
     def coeffs(self) -> np.ndarray:
         """The (degree+1) x F coefficient matrix."""
-        return solve_leading(self.factor, self.degree + 1)
+        return solve_leading(*self.triangle)
 
     @cached_property
     def triangle(self) -> tuple[np.ndarray, np.ndarray]:
-        """The leading triangle of R, and the rows of Q^T H it solves for."""
-        n = self.degree + 1
-        return leading_triangle(self.factor, n), self.factor.qth[:n]
+        """The rows of Q^T H that the leading triangle of R solves for, and that triangle."""
+        triangle = leading_triangle(self.factor, self.degree)
+        return self.qth[: len(triangle)], triangle
 
 
 def spectral_fit(
@@ -345,21 +347,22 @@ def spectral_fit(
     solve itself waits until the state's coeffs are first read.
     """
     n = len(cache)
-    new, factor = n, None
+    new, factor, qth = n, None, None
     if prior is not None and 0 < prior.factor.n_points < n:
         # Entries are only appended or evicted from the front, so the prior fit
         # covers the oldest of its n_points entries iff the newest is still at fitted_at.
         if cache.times(n - prior.factor.n_points + 1)[0] == prior.fitted_at:
-            new, factor = n - prior.factor.n_points, prior.factor
+            new, factor, qth = n - prior.factor.n_points, prior.factor, prior.qth
     t, h = cache.latest()  # raises on an empty cache
     if new == 1:  # the streaming case: one row, no stacking
         rows, H = basis_row(config.degree, 2.0 * t - 1.0)[None], h[None]
     else:  # project_time, vectorized; basis_matrix checks the range
         rows, H = basis_matrix(config.degree, 2.0 * cache.times(new) - 1.0), cache.feature_stack(new)
     if factor is None:
-        factor = RidgeFactor.empty(config.lam, config.degree + 1, H.shape[1])
+        factor, qth = RidgeFactor.empty(config.lam, config.degree + 1), np.zeros((config.degree + 1, H.shape[1]))
     degree = config.degree if config.lam > 0.0 else min(config.degree, n - 1)
-    return SpectralState(factor=fold_rows(factor, rows, H), degree=degree, fitted_at=t)
+    factor = fold_rows(factor, rows)
+    return SpectralState(factor=factor, qth=rotate_features(factor.q, qth, H), degree=degree, fitted_at=t)
 
 
 def forecast_weights(triangle: np.ndarray, t: float) -> np.ndarray:
@@ -377,7 +380,7 @@ def spectral_forecast(state: SpectralState, t: float) -> np.ndarray:
     chebcast.forecasters.spectral_weights), then a single product with the
     F-wide Q^T H.
     """
-    triangle, qth = state.triangle
+    qth, triangle = state.triangle
     return forecast_weights(triangle, t).dot(qth)
 
 
@@ -435,8 +438,8 @@ class SpectralForecaster:
         return spectral_forecast(self._fitted(), t)
 
     def weights(self, t: float) -> np.ndarray:
-        """The w with predict(t) = w @ the leading len(w) rows of state.factor.qth."""
-        return forecast_weights(self._fitted().triangle[0], t)
+        """The w with predict(t) = w @ the leading len(w) rows of state.qth."""
+        return forecast_weights(self._fitted().triangle[1], t)
 
     def _fitted(self) -> SpectralState:
         state = self.state

@@ -26,7 +26,6 @@ from chebcast import (
     rmse_vs_oracle,
     run_sampler,
     sample_initial_latent,
-    spectral_triangle,
     spectral_weights,
     sweep_report,
     taylor_worst_case,
@@ -35,7 +34,6 @@ from chebcast import (
     verify_spectral_bound,
     verify_taylor_attainment,
 )
-from chebcast.ridge import RidgeFactor, fold_rows
 from chebcast.sandbox import (
     BENCHMARK_SEEDS,
     FunctionFamily,
@@ -124,14 +122,12 @@ def test_gate_5_exactness_suite():
             times = np.sort(rng.uniform(0.0, 1.0, degree + 1))
             if degree == 0 or np.min(np.diff(times)) > 0.04:
                 break
-        phi = basis_matrix(degree, [project_time(t) for t in times])
         H = np.array([basis_row(degree, project_time(t)) @ coeffs for t in times])
-        fit = fold_rows(RidgeFactor.empty(0.0, degree + 1, 2), phi, H)
-        triangle = spectral_triangle(fit, degree)
+        qth, triangle = ridge_fit([project_time(t) for t in times], H, degree, 0.0)
         for t_query in rng.uniform(0.0, 1.0, 50):
             expected = basis_row(degree, project_time(t_query)) @ coeffs
             w = spectral_weights(triangle, basis_row(degree, project_time(t_query))[None])[0]
-            assert np.max(np.abs(w @ fit.qth - expected)) <= 1e-9
+            assert np.max(np.abs(w @ qth - expected)) <= 1e-9
 
     # passes at steps 1, 4 and 7; order-0 Taylor forecasts each skipped step as the newest pass
     passes = np.array([rng.normal(size=5) for _ in range(3)])

@@ -1,5 +1,7 @@
 """Tests for the Chebyshev recurrence, projection and truncation bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,10 @@ def test_ellipse_bound_validation():
         EllipseBound(1.0, 1.0)
     with pytest.raises(ValueError, match="sup bound"):
         EllipseBound(2.0, 0.0)
+    # an infinite rho would make every truncation bound 0.0, and every containment check vacuous
+    for rho, sup_bound in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            EllipseBound(rho, sup_bound)
 
 
 def test_magnitude_bounded_on_interval():

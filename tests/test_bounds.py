@@ -143,7 +143,7 @@ def test_polynomial_channel_trivial_containment():
 # which takes its design rows ready-made, and bounds stays pure math: no sampler.
 LAYERS = {
     "ridge": set(),
-    "forecasters": {"ridge"},
+    "forecasters": set(),
     "bounds": {"basis", "forecasters", "ridge"},
 }
 

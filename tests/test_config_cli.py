@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -319,6 +320,8 @@ INVALID = {
     "weights off 1": ("spec", "weights", [0.5, 0.3, 0.3], "spec"),
     "non-integer seed": (None, "seeds", ["x"], "seeds"),
     "fractional seed": (None, "seeds", [1.5], "seeds: expected an integer, got 1.5"),
+    "negative seed": (None, "seeds", [-1], "invalid config: seed must be an integer >= 0, got -1"),
+    "zero checkpoint": (None, "checkpoints", [0, 50], "invalid config: checkpoint must be an integer >= 1, got 0"),
     "boolean seed": (None, "seeds", [True], "seeds: expected an integer, got True"),
     "fractional degree": ("forecaster", "degree", 4.5, "forecaster.degree: expected an integer"),
     "fractional step count": ("schedule", "n_steps", 50.9, "schedule.n_steps: expected an integer"),
@@ -333,6 +336,25 @@ INVALID = {
     "infinite gain": (None, "spec", {"kind": "block_stack", "gain": float("inf")}, "spec: nonlinearity gain must be finite"),
     "NaN gain": (None, "spec", {"kind": "block_stack", "gain": float("nan")}, "spec: nonlinearity gain must be finite"),
     "boolean weight": ("spec", "weights", [True, 0.0, 0.0], "spec.weights: expected a number, got True"),
+    "NaN weight": ("spec", "weights", [float("nan"), 0.5, 0.5], "spec: mixture weights must be finite, got nan"),
+    "infinite mean": ("spec", "means", [[float("inf")] * 8] * 3, "spec: mixture means must be finite, got inf"),
+    "NaN mean": ("spec", "means", [[float("nan")] * 8] * 3, "spec: mixture means must be finite, got nan"),
+    "NaN variance": ("spec", "variances", [[float("nan")] * 8] * 3, "spec: mixture variances must be finite"),
+    "infinite variance": ("spec", "variances", [[float("inf")] * 8] * 3, "spec: mixture variances must be finite"),
+    "NaN polynomial coefficient": (
+        None, "spec",
+        {"kind": "function_family", "channels": [{"type": "polynomial", "coefficients": [1.0, float("nan")]}]},
+        r"spec.channels\[0\]: channel coefficients must be finite, got nan",
+    ),
+    "infinite sine frequency": (
+        None, "spec", {"kind": "function_family", "channels": [{"type": "sine", "frequency": float("inf")}]},
+        r"spec.channels\[0\]: channel frequency must be finite, got inf",
+    ),
+    "NaN exponential rate": (
+        None, "spec",
+        {"kind": "function_family", "channels": [{"type": "exponential", "rate": float("nan")}]},
+        r"spec.channels\[0\]: channel rate must be finite, got nan",
+    ),
     "boolean variances": ("spec", "variances", [[True] * 8] * 3, "spec.variances: expected a number"),
     "string means": ("spec", "means", [["1"] * 8] * 3, "spec.means: expected a number, got '1'"),
     "null output dir": (None, "output_dir", None, "output_dir: expected a string, got None"),
@@ -522,6 +544,32 @@ def test_cli_simulate_invalid_value_exit_code(tmp_path):
     assert "checkpoints" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_negative_seed_exit_code(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(invalid_raw("negative seed")))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid config: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [("seeds", (1.5,)), ("seeds", (True,)), ("seeds", (-1,)), ("checkpoints", (10.5, 50)), ("checkpoints", (True, 50))],
+)
+def test_config_refuses_counts_a_config_file_could_not_hold(field, values):
+    """Each would dump a file load_config refuses, or would fail at the first run."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        dataclasses.replace(gate9_config(), **{field: values})
+
+
+def test_config_stores_integral_counts_as_ints():
+    config = dataclasses.replace(gate9_config(), seeds=(np.int64(7051), 7093.0), checkpoints=(10.0, np.int64(50)))
+    assert config.seeds == (7051, 7093) and config.checkpoints == (10, 50)
+    assert [type(v) for v in config.seeds + config.checkpoints] == [int] * 4
+    assert config.to_dict() == gate9_config().to_dict()
 
 
 def test_cli_simulate_huge_alpha(tmp_path):

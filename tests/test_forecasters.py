@@ -1,7 +1,7 @@
 """Tests for the forecasters' weights, and for the stateful reference forecasters.
 
-The weights chebcast computes from the times alone (taylor_weights,
-spectral_triangle, spectral_weights), a row a forecast, are tested directly.  The feature
+The weights chebcast computes from the times alone (taylor_weights and
+spectral_weights), a row a forecast, are tested directly.  The feature
 cache and the observe/predict forecasters live in tests/oracles.py, as the
 reference the planned sampler is checked against; they are tested here too.
 """
@@ -168,7 +168,7 @@ def test_a_batched_weight_row_is_bitwise_its_single_row_call(kind, order, degree
         rows = [taylor_weights(times, [t], order)[0] for t in ts]
     else:
         _, triangle = ridge_fit(2.0 * times - 1.0, np.empty((n_points, 0)), degree, lam)
-        phi = basis_matrix(len(triangle) - 1, [project_time(t) for t in ts])
+        phi = basis_matrix(degree, [project_time(t) for t in ts])  # full-degree rows, as a plan passes them
         batch = spectral_weights(triangle, phi)
         rows = [spectral_weights(triangle, row[None])[0] for row in phi]
     assert batch.shape == (len(ts), len(rows[0]))
@@ -188,10 +188,10 @@ def test_polynomial_interpolation_reproduces_cache():
     rng = np.random.default_rng(2)
     coeffs = rng.normal(size=(5, 3))
     times = np.sort(rng.uniform(0.0, 1.0, 5))
-    factor, triangle = ridge_fit(2.0 * times - 1.0, [basis_row(4, project_time(t)) @ coeffs for t in times], 4, 0.0)
+    qth, triangle = ridge_fit(2.0 * times - 1.0, [basis_row(4, project_time(t)) @ coeffs for t in times], 4, 0.0)
     for t in times:
         expected = basis_row(4, project_time(t)) @ coeffs
-        np.testing.assert_allclose(ridge_forecast(factor, triangle, project_time(t))[0], expected, atol=1e-9)
+        np.testing.assert_allclose(ridge_forecast(qth, triangle, project_time(t))[0], expected, atol=1e-9)
 
 
 def test_polynomial_exactness_all_degrees():
@@ -204,10 +204,10 @@ def test_polynomial_exactness_all_degrees():
                 if degree == 0 or np.min(np.diff(times)) > 0.04:
                     break
             features = [basis_row(degree, project_time(t)) @ coeffs for t in times]
-            factor, triangle = ridge_fit(2.0 * times - 1.0, features, degree, 0.0)
+            qth, triangle = ridge_fit(2.0 * times - 1.0, features, degree, 0.0)
             for t_query in rng.uniform(0.0, 1.0, 50):
                 expected = basis_row(degree, project_time(t_query)) @ coeffs
-                pred = ridge_forecast(factor, triangle, project_time(t_query))[0]
+                pred = ridge_forecast(qth, triangle, project_time(t_query))[0]
                 np.testing.assert_allclose(pred, expected, atol=1e-9)
 
 
@@ -226,21 +226,21 @@ def test_lambda_zero_fit_reproduces_polynomial_channels(degree, poly_degree, ext
     n_points = degree + 1 + extra
     # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
     times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
-    factor, triangle = ridge_fit(2.0 * times - 1.0, [[channel(t)] for t in times], degree, 0.0)
-    pred = ridge_forecast(factor, triangle, project_time(t_query))[0]
+    qth, triangle = ridge_fit(2.0 * times - 1.0, [[channel(t)] for t in times], degree, 0.0)
+    pred = ridge_forecast(qth, triangle, project_time(t_query))[0]
     np.testing.assert_allclose(pred, [channel(t_query)], rtol=0.0, atol=1e-9)
 
 
 def test_single_point_ridge_shrinkage():
-    factor, triangle = ridge_fit([project_time(0.3)], [[2.0, -1.0]], 4, 0.1)
-    pred = ridge_forecast(factor, triangle, project_time(0.3))[0]
+    qth, triangle = ridge_fit([project_time(0.3)], [[2.0, -1.0]], 4, 0.1)
+    pred = ridge_forecast(qth, triangle, project_time(0.3))[0]
     row = basis_row(4, project_time(0.3))
     shrink = (row @ row) / (row @ row + 0.1)
     np.testing.assert_allclose(pred, shrink * np.array([2.0, -1.0]), atol=1e-12)
     assert np.linalg.norm(pred) < np.linalg.norm([2.0, -1.0])
     # cross-check against the brute-force normal-equation oracle
     brute = brute_ridge(row[None, :], np.array([[2.0, -1.0]]), 0.1)
-    np.testing.assert_allclose(ridge_coefficients(factor, triangle), brute, atol=1e-10)
+    np.testing.assert_allclose(ridge_coefficients(qth, triangle), brute, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -389,13 +389,13 @@ def test_first_read_folds_in_every_entry_observed_since(monkeypatch):
     rows, solves = [], []
     real_fold, real_solve = forecasters.fold_rows, forecasters.solve_leading
 
-    def counting_fold(factor, new_rows, H):
+    def counting_fold(factor, new_rows):
         rows.append(new_rows.shape[0])
-        return real_fold(factor, new_rows, H)
+        return real_fold(factor, new_rows)
 
-    def counting_solve(factor, n_coef):
-        solves.append(factor.n_points)
-        return real_solve(factor, n_coef)
+    def counting_solve(qth, triangle):
+        solves.append(len(triangle))
+        return real_solve(qth, triangle)
 
     monkeypatch.setattr(forecasters, "fold_rows", counting_fold)
     monkeypatch.setattr(forecasters, "solve_leading", counting_solve)
@@ -441,11 +441,11 @@ def test_triangle_forecast_matches_coefficient_forecast(degree, lam, n_channels,
     n_points = degree + 1 + extra
     # one time per cell of a uniform grid keeps the lambda=0 design well conditioned
     times = (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points
-    factor, triangle = ridge_fit(2.0 * times - 1.0, rng.normal(size=(n_points, n_channels)), degree, lam)
-    coeffs = solve_leading(factor, len(triangle))
+    qth, triangle = ridge_fit(2.0 * times - 1.0, rng.normal(size=(n_points, n_channels)), degree, lam)
+    coeffs = solve_leading(qth, triangle)
     via_coeffs = basis_row(len(triangle) - 1, project_time(t_query)) @ coeffs
     scale = max(1.0, np.abs(coeffs).sum())
-    pred = ridge_forecast(factor, triangle, project_time(t_query))[0]
+    pred = ridge_forecast(qth, triangle, project_time(t_query))[0]
     np.testing.assert_allclose(pred, via_coeffs, rtol=0.0, atol=1e-12 * scale)
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chebcast import RidgeFitError, basis_matrix, min_singular, spectral_triangle
-from chebcast.ridge import RidgeFactor, fold_rows, leading_triangle
+from chebcast import RidgeFitError, basis_matrix, leading_triangle, min_singular
+from chebcast.ridge import RidgeFactor, fold_rows, rotate_features
 
 from oracles import (
     brute_ridge,
@@ -26,8 +26,8 @@ def test_interpolation_case():
     rng = np.random.default_rng(1)
     taus = np.array([-0.9, -0.2, 0.4, 0.8])
     H = rng.normal(size=(4, 3))
-    fit, triangle = ridge_fit(taus, H, 3, 0.0)
-    assert np.max(np.abs(ridge_forecast(fit, triangle, taus) - H)) <= 1e-10
+    qth, triangle = ridge_fit(taus, H, 3, 0.0)
+    assert np.max(np.abs(ridge_forecast(qth, triangle, taus) - H)) <= 1e-10
 
 
 def test_infinite_regularization_limit():
@@ -86,26 +86,44 @@ def test_short_cache_with_ridge_is_fine():
 
 
 def test_short_cache_without_ridge_fails_deterministically():
-    fit, _ = ridge_fit([-1.0, -0.9], np.ones((2, 1)), 4, 0.0)  # a plan would cap the degree at 1
-    with pytest.raises(RidgeFitError, match="lambda=0"):
-        leading_triangle(fit, 5)
+    with pytest.raises(RidgeFitError, match="lambda=0 with no points"):
+        leading_triangle(RidgeFactor.empty(0.0, 5), 4)
+    _, triangle = ridge_fit([-1.0, -0.9], np.ones((2, 1)), 4, 0.0)
+    assert triangle.shape == (2, 2)  # two points solve the degree-1 interpolant, as a plan does
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_leading_triangle_caps_the_degree_to_the_points_at_lambda_zero(lam):
+    degree = 4
+    taus = np.linspace(-0.9, 0.9, degree + 2)
+    for n_points in range(degree + 3):
+        fit = fold_rows(RidgeFactor.empty(lam, degree + 1), basis_matrix(degree, taus[:n_points]))
+        if lam == 0.0 and n_points == 0:
+            with pytest.raises(RidgeFitError, match="lambda=0 with no points"):
+                leading_triangle(fit, degree)
+            continue
+        n_coef = min(degree + 1, n_points) if lam == 0.0 else degree + 1
+        triangle = leading_triangle(fit, degree)
+        assert triangle.shape == (n_coef, n_coef)
+        assert np.array_equal(triangle, fit.r[:n_coef, :n_coef])
 
 
 def test_rank_deficient_design_without_ridge_fails():
     # three rows, but the second basis column is identically zero
     phi = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    fits = {lam: fold_rows(RidgeFactor.empty(lam, 2, 1), phi, np.ones((3, 1))) for lam in (0.0, 0.1)}
+    fits = {lam: fold_rows(RidgeFactor.empty(lam, 2), phi) for lam in (0.0, 0.1)}
     with pytest.raises(RidgeFitError, match="rank-deficient"):
-        spectral_triangle(fits[0.0], 1)
-    assert np.all(np.isfinite(ridge_coefficients(fits[0.1], spectral_triangle(fits[0.1], 1))))
+        leading_triangle(fits[0.0], 1)
+    qth = rotate_features(fits[0.1].q, np.zeros((2, 1)), np.ones((3, 1)))
+    assert np.all(np.isfinite(ridge_coefficients(qth, leading_triangle(fits[0.1], 1))))
 
 
 def test_clustered_degree_eight_fits_polynomial_data_to_round_off():
     # cond(Phi) ~ 3e12: the normal equations square it past 1/eps
     taus = np.linspace(-1.0, -0.8, 20)
     H = basis_matrix(8, taus) @ np.random.default_rng(13).normal(size=(9, 3))
-    fit, triangle = ridge_fit(taus, H, 8, 0.0)
-    assert np.max(np.abs(ridge_forecast(fit, triangle, taus) - H)) < 1e-12
+    qth, triangle = ridge_fit(taus, H, 8, 0.0)
+    assert np.max(np.abs(ridge_forecast(qth, triangle, taus) - H)) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -116,13 +134,14 @@ def test_prior_factor_folds_rows_like_one_batch(lam):
         n_points = degree + 2 + int(rng.integers(0, 6))
         taus = 2.0 * (np.arange(n_points) + rng.uniform(0.1, 0.9, n_points)) / n_points - 1.0
         H = rng.normal(size=(n_points, int(rng.integers(1, 5))))
-        batch = solve_leading(ridge_fit(taus, H, degree, lam)[0], degree + 1)
+        batch = solve_leading(*ridge_fit(taus, H, degree, lam))
         split = int(rng.integers(1, n_points))
-        empty = RidgeFactor.empty(lam, degree + 1, H.shape[1])
-        head = fold_rows(empty, basis_matrix(degree, taus[:split]), H[:split])
-        tail = fold_rows(head, basis_matrix(degree, taus[split:]), H[split:])
+        head = fold_rows(RidgeFactor.empty(lam, degree + 1), basis_matrix(degree, taus[:split]))
+        qth = rotate_features(head.q, np.zeros((degree + 1, H.shape[1])), H[:split])
+        tail = fold_rows(head, basis_matrix(degree, taus[split:]))
+        qth = rotate_features(tail.q, qth, H[split:])  # carried through the second fold, as a run carries it
         assert tail.n_points == n_points
-        folded = solve_leading(tail, degree + 1)
+        folded = solve_leading(qth, leading_triangle(tail, degree))
         np.testing.assert_allclose(folded, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))
 
 
@@ -131,9 +150,9 @@ def test_leading_block_solve_is_the_lower_degree_fit():
     taus = np.sort(rng.uniform(-1, 1, 9))
     H = rng.normal(size=(9, 2))
     for lam in (0.0, 0.1):
-        factor, _ = ridge_fit(taus, H, 5, lam)
-        direct = solve_leading(ridge_fit(taus, H, 2, lam)[0], 3)
-        np.testing.assert_allclose(solve_leading(factor, 3), direct, rtol=0.0, atol=1e-12)
+        qth, triangle = ridge_fit(taus, H, 5, lam)
+        direct = solve_leading(*ridge_fit(taus, H, 2, lam))
+        np.testing.assert_allclose(solve_leading(qth, triangle[:3, :3]), direct, rtol=0.0, atol=1e-12)
 
 
 def test_import_leaves_scipy_out():

@@ -1,6 +1,7 @@
 """Tests for the analytic denoisers and the step-skipping sampler."""
 
 import inspect
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -19,6 +20,7 @@ from chebcast import (
     PolynomialChannel,
     RidgeFitError,
     SamplerError,
+    SineChannel,
     SolverConfig,
     evaluate_denoiser,
     oracle_run,
@@ -86,6 +88,35 @@ def test_mixture_weight_validation():
         GaussianMixtureFlow(weights=(0.6, 0.6), means=np.zeros((2, 2)), variances=np.ones((2, 2)))
     with pytest.raises(ValueError, match="positive"):
         GaussianMixtureFlow(weights=(1.0,), means=np.zeros((1, 2)), variances=np.zeros((1, 2)))
+
+
+# a denoiser spec or channel with one parameter non-finite -> the message naming it
+NON_FINITE_SPECS = {
+    "NaN weight": (lambda: GaussianMixtureFlow((math.nan, 1.0), np.zeros((2, 2)), np.ones((2, 2))),
+                   "mixture weights must be finite, got nan"),
+    "infinite mean": (lambda: GaussianMixtureFlow((1.0,), [[0.0, math.inf]], np.ones((1, 2))),
+                      "mixture means must be finite, got inf"),
+    "NaN mean": (lambda: GaussianMixtureFlow((1.0,), [[math.nan, 0.0]], np.ones((1, 2))),
+                 "mixture means must be finite, got nan"),
+    "NaN variance": (lambda: GaussianMixtureFlow((1.0,), np.zeros((1, 2)), [[1.0, math.nan]]),
+                     "mixture variances must be finite, got nan"),
+    "infinite variance": (lambda: GaussianMixtureFlow((1.0,), np.zeros((1, 2)), [[math.inf, 1.0]]),
+                          "mixture variances must be finite, got inf"),
+    "polynomial coefficient": (lambda: PolynomialChannel((1.0, -math.inf)), "channel coefficients must be finite"),
+    "sine amplitude": (lambda: SineChannel(amplitude=math.nan), "channel amplitude must be finite, got nan"),
+    "sine frequency": (lambda: SineChannel(frequency=math.inf), "channel frequency must be finite, got inf"),
+    "sine phase": (lambda: SineChannel(phase=math.nan), "channel phase must be finite, got nan"),
+    "exponential scale": (lambda: ExponentialChannel(scale=math.inf), "channel scale must be finite, got inf"),
+    "exponential rate": (lambda: ExponentialChannel(rate=math.nan), "channel rate must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SPECS))
+def test_spec_refuses_a_non_finite_parameter(case):
+    """Refused at construction, not at the first pass; a NaN weight would pass the sum-to-1 check."""
+    build, refused = NON_FINITE_SPECS[case]
+    with pytest.raises(ValueError, match=f"^{refused}"):
+        build()
 
 
 def test_zero_weight_component_gets_no_responsibility_and_no_warning():
@@ -480,9 +511,9 @@ def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeyp
     rows = []
     real_fold = sandbox.fold_rows
 
-    def counting_fold(factor, new_rows, H):
+    def counting_fold(factor, new_rows):
         rows.append(new_rows.shape[0])
-        return real_fold(factor, new_rows, H)
+        return real_fold(factor, new_rows)
 
     monkeypatch.setattr(sandbox, "fold_rows", counting_fold)
     solver = SolverConfig(adaptive_schedule(config.schedule), config.forecaster)
@@ -505,6 +536,21 @@ def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeyp
     assert run.fit_count == 10
 
 
+@pytest.mark.parametrize("cache_scope", ["last_block", "per_block"])
+def test_plan_folds_the_design_alone_and_never_carries_features(monkeypatch, cache_scope):
+    """Planning a spectral config folds the rows of the passes only; Q^T H is the run's to carry."""
+    import chebcast.ridge as ridge
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a plan folds no features")
+
+    monkeypatch.setattr(ridge, "rotate_features", forbidden)
+    choice = ForecasterChoice(kind="spectrum", window=3, cache_scope=cache_scope)
+    config = SolverConfig(adaptive_schedule(ScheduleParams(40, 2, 4, 1.0)), choice)
+    assert all(stretch.fold is not None for stretch in config.plan.stretches.values())
+    assert config.plan.stretches
+
+
 def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
     import chebcast.sandbox as sandbox
 
@@ -524,7 +570,7 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
         raise AssertionError("a run must only read its plan")
 
     # every name the plan computes its weights and folds through
-    for name in ("basis_matrix", "fold_rows", "spectral_triangle", "spectral_weights", "taylor_weights"):
+    for name in ("basis_matrix", "fold_rows", "leading_triangle", "spectral_weights", "taylor_weights"):
         monkeypatch.setattr(sandbox, name, forbidden)
     for config in configs:
         run = run_sampler(spec, config, sample_initial_latent(spec.dim, 1))
@@ -764,6 +810,10 @@ def test_rmse_shape_mismatch_rejected():
         rmse_vs_oracle(a, b, [5])
     with pytest.raises(ValueError, match="checkpoint"):
         rmse_vs_oracle(a, a, [0])
+    for step in (2.7, True):  # int() would read them as steps 2 and 1
+        with pytest.raises(ValueError, match=f"^checkpoint must be an integer >= 1, got {step!r}$"):
+            rmse_vs_oracle(a, a, [step])
+    assert rmse_vs_oracle(a, a, [np.int64(5), 10.0]) == [0.0, 0.0]
 
 
 def test_trajectory_csv_without_oracle(tmp_path):
