@@ -20,11 +20,19 @@ import numpy as np
 TAU_SLACK = 1e-12
 
 
-def _check_degree(m: int) -> int:
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {m}")
-    return m
+def _count(value, what: str, least: int = 0) -> int:
+    """value as an int >= least; a bool, a number with a fractional part or a non-number is an error, not truncated."""
+    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """value as a float; a bool, a string or any other non-number is an error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def project_time(t: float) -> float:
@@ -46,7 +54,7 @@ def basis_matrix(degree: int, taus) -> np.ndarray:
     Vectorized over taus: the recurrence runs columnwise, so the first
     columns are bitwise the matrix of a lower degree.
     """
-    degree = _check_degree(degree)
+    degree = _count(degree, "polynomial degree")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     inside = np.abs(taus) <= 1.0 + TAU_SLACK  # NaN compares false, so it is outside
     if not inside.all():
@@ -74,6 +82,8 @@ class EllipseBound:
     sup_bound: float
 
     def __post_init__(self):
+        for value, what in ((self.rho, "ellipse parameter"), (self.sup_bound, "sup bound")):
+            _real(value, what)
         if not (1.0 < self.rho < math.inf):
             raise ValueError(f"ellipse parameter must be finite and > 1, got {self.rho}")
         if not (0.0 < self.sup_bound < math.inf):
@@ -82,5 +92,5 @@ class EllipseBound:
 
 def truncation_bound(ellipse: EllipseBound, degree: int) -> float:
     """Uniform bound 2*B/(rho-1) * rho**(-degree) on the degree-M truncation error."""
-    degree = _check_degree(degree)
+    degree = _count(degree, "polynomial degree")
     return 2.0 * ellipse.sup_bound / (ellipse.rho - 1.0) * ellipse.rho ** (-degree)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EllipseBound, basis_matrix, project_time, truncation_bound
+from .basis import EllipseBound, _count, _real, basis_matrix, project_time, truncation_bound
 from .forecasters import spectral_weights
 from .ridge import RidgeFactor, fold_rows, leading_triangle, min_singular, rotate_features
 
@@ -32,13 +32,11 @@ DENSE_GRID = 10_000
 
 def taylor_worst_case(deriv_bound: float, order: int, step: float) -> float:
     """Worst-case error L / (P+1)! * step**(P+1) of the ideal order-P predictor."""
-    if deriv_bound <= 0.0:
+    if _real(deriv_bound, "derivative bound") <= 0.0:
         raise ValueError(f"derivative bound must be > 0, got {deriv_bound}")
-    if step <= 0.0:
+    if _real(step, "forecast step") <= 0.0:
         raise ValueError(f"forecast step must be > 0, got {step}")
-    order = int(order)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = _count(order, "order")
     return deriv_bound / math.factorial(order + 1) * step ** (order + 1)
 
 
@@ -76,7 +74,7 @@ def cheb_interpolant_values(f, degree: int, grid: np.ndarray) -> np.ndarray:
     nodes = np.sort(np.cos((2 * k + 1) * np.pi / (2 * (degree + 1))))
     values = np.asarray([f(tau) for tau in nodes])[:, None]
     fit = fold_rows(RidgeFactor.empty(0.0, degree + 1), basis_matrix(degree, nodes))
-    qth = rotate_features(fit.q, np.zeros((degree + 1, 1)), values)
+    qth = rotate_features(fit.q, np.concatenate([np.zeros((degree + 1, 1)), values]))
     return (spectral_weights(leading_triangle(fit, degree), basis_matrix(degree, grid)) @ qth)[:, 0]
 
 
@@ -111,7 +109,7 @@ def verify_cheb_decay(
     """
     grid = np.linspace(-1.0, 1.0, grid_size)
     f_grid = np.asarray([f(tau) for tau in grid])
-    degrees = tuple(int(m) for m in degrees)
+    degrees = tuple(_count(m, "degree") for m in degrees)
     errors, bnds = [], []
     for m in degrees:
         approx = cheb_interpolant_values(f, m, grid)
@@ -152,9 +150,9 @@ def spectral_bound(
     expression takes no forecast-time argument: the bound does not grow with
     the forecast gap.
     """
-    if eps_m < 0.0 or sigma_min < 0.0 or lam < 0.0:
+    if min(_real(eps_m, "eps_m"), _real(sigma_min, "sigma_min"), _real(lam, "lam")) < 0.0:
         raise ValueError("eps_m, sigma_min and lam must all be >= 0")
-    m1 = int(degree) + 1
+    m1, n_points = _count(degree, "degree") + 1, _count(n_points, "point count")
     denom = sigma_min**2 + lam
     if denom == 0.0:
         raise ValueError("sigma_min and lam cannot both be zero")
@@ -196,7 +194,7 @@ def verify_spectral_bound(
     nodes = np.sort(fit_end / 2.0 + fit_end / 2.0 * np.cos((2 * k + 1) * np.pi / (2 * n_nodes)))
     phi = basis_matrix(degree, [project_time(t) for t in nodes])
     fit = fold_rows(RidgeFactor.empty(lam, degree + 1), phi)
-    qth = rotate_features(fit.q, np.zeros((degree + 1, 1)), np.array([[channel(t)] for t in nodes]))
+    qth = rotate_features(fit.q, np.concatenate([np.zeros((degree + 1, 1)), [[channel(t)] for t in nodes]]))
     triangle = leading_triangle(fit, degree)
     sigma = min_singular(phi)
     eps_m = truncation_bound(ellipse, degree)

@@ -27,7 +27,8 @@ from .sandbox import (
     SineChannel,
     SolverConfig,
 )
-from .schedule import ScheduleParams, _count, adaptive_schedule
+from .basis import _count
+from .schedule import ScheduleParams, adaptive_schedule
 
 
 class ConfigError(ValueError):

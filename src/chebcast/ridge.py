@@ -55,13 +55,17 @@ def fold_rows(factor: RidgeFactor, rows: np.ndarray) -> RidgeFactor:
     return RidgeFactor(r, factor.lam, factor.n_points + rows.shape[0], q)
 
 
-def rotate_features(q: np.ndarray, qth: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """q^T [qth; H]: the rows of Q^T H after a fold with orthonormal factor q of the rows of H.
+def rotate_features(q: np.ndarray, stacked: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """q^T stacked: the rows of Q^T H after a fold with orthonormal factor q of the rows of H.
 
-    qth and H may be stacks (..., rows, F) of several features' operands;
-    each slice of the result is then its own 2-D product.
+    stacked is [qth; H], the rows of Q^T H before the fold over the features'
+    rows at the folded design rows.  It may be a stack (..., rows, F) of
+    several features' operands; each slice of the result is then its own
+    2-D product, bitwise the call on that slice alone as long as the slice
+    is C-contiguous.  out may be stacked's own leading rows, which numpy
+    buffers, so that a carried Q^T H is folded in place.
     """
-    return np.matmul(q.T, np.concatenate([qth, H], axis=-2))
+    return np.matmul(q.T, stacked, out=out)
 
 
 def leading_triangle(factor: RidgeFactor, degree: int) -> np.ndarray:

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import basis_matrix
+from .basis import _count, _real, basis_matrix
 from .forecasters import spectral_weights, taylor_weights
 from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle, rotate_features
-from .schedule import ActivationSchedule, ScheduleParams, _count, adaptive_schedule, uniform_schedule
+from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
 CACHE_SCOPES = ("last_block", "per_block")
@@ -40,10 +40,13 @@ class SamplerError(RuntimeError):
 
 
 def _finite(values, what: str) -> None:
-    """Refuse a NaN or infinite number among values (a number or an array of them), naming what they are."""
-    bad = ~np.isfinite(values)
+    """Refuse a non-number, a NaN or an infinity among values (a number or an array of them), naming what they are."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":  # a bool, a string or any other object would be converted or fail to compare
+        raise ValueError(f"{what} must be numbers, got {values!r}")
+    bad = ~np.isfinite(array)
     if bad.any():
-        raise ValueError(f"{what} must be finite, got {float(np.asarray(values)[bad].flat[0])}")
+        raise ValueError(f"{what} must be finite, got {float(array[bad].flat[0])}")
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,9 @@ class GaussianMixtureFlow:
     kind = "gaussian_mixture_flow"
 
     def __post_init__(self):
+        for values, what in ((self.weights, "mixture weights"), (self.means, "mixture means"),
+                             (self.variances, "mixture variances")):
+            _finite(values, what)  # before the conversions to float, which would take a string for a number
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         variances = np.asarray(self.variances, dtype=float)
         if variances.ndim == 1:
@@ -76,8 +82,6 @@ class GaussianMixtureFlow:
         w = np.asarray(self.weights)
         if w.ndim != 1 or w.size != means.shape[0] or variances.shape != means.shape:
             raise ValueError("weights, means and variances must agree on component count")
-        for values, what in ((w, "mixture weights"), (means, "mixture means"), (variances, "mixture variances")):
-            _finite(values, what)
         if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be non-negative and sum to 1")
         if np.any(variances <= 0.0):
@@ -196,10 +200,9 @@ class BlockStack:
     def __post_init__(self):
         object.__setattr__(self, "n_blocks", _count(self.n_blocks, "block count", least=1))
         object.__setattr__(self, "width", _count(self.width, "feature width", least=1))
-        if not (math.isfinite(self.gain) and self.gain >= 0.0):
+        gain = _real(self.gain, "nonlinearity gain")  # a bool too: it dumps as true, which a config refuses
+        if not (math.isfinite(gain) and gain >= 0.0):
             raise ValueError(f"nonlinearity gain must be finite and >= 0, got {self.gain}")
-        if isinstance(self.gain, bool):  # dumped as true, which a config refuses
-            raise ValueError(f"nonlinearity gain must be a number, got {self.gain!r}")
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.mixing not in ("rotation", "identity"):
             raise ValueError(f"mixing must be 'rotation' or 'identity', got {self.mixing!r}")
@@ -223,6 +226,22 @@ class BlockStack:
     def base_feature(self, t: float) -> np.ndarray:
         powers = np.array([1.0, t, t * t, t * t * t])
         return self._base_coeffs @ powers
+
+    def base_features(self, ts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """base_feature(t) for every t of ts, written into the rows of out, a (len(ts), width) array.
+
+        One stacked product makes them all: numpy hands each (width, 4) @
+        (4, 1) slice to the same matrix-vector product as base_feature, so
+        each row is bitwise its base_feature.  The powers are rows of one
+        C-contiguous array for that; over a transposed one it is not.
+        """
+        powers = np.empty((len(ts), 4))
+        powers[:, 0] = 1.0
+        powers[:, 1] = ts
+        np.multiply(ts, ts, out=powers[:, 2])
+        np.multiply(powers[:, 2], ts, out=powers[:, 3])
+        np.matmul(self._base_coeffs, powers[:, :, None], out=out[:, :, None])
+        return out
 
     def stage_outputs(self, t: float) -> np.ndarray:
         """The (n_blocks + 1, width) array of rows y_0, y_1, ..., y_B: y_0 the base feature, y_B the output."""
@@ -282,7 +301,7 @@ class ForecasterChoice:
         if self.cache_scope == "per_block" and self.kind != "spectrum":
             raise ValueError("per-block caching is only implemented for the spectral forecaster")
         order, degree = _count(self.order, "taylor order"), _count(self.degree, "basis degree")
-        lam = float(self.lam)
+        lam = _real(self.lam, "regularization strength")
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"regularization strength must be finite and >= 0, got {lam}")
         window = None if self.window is None else _count(self.window, "cache window", least=1)
@@ -441,13 +460,13 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _newest(buffer: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Passes lo..hi-1 of a (blocks, rows, F) buffer holding pass k at row k % rows; hi - lo <= rows."""
-    rows = buffer.shape[1]
+def _newest(ring: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
+    """Passes lo..hi-1 (hi - lo <= rows) of a (rows, blocks, F) ring, pass k at row k % rows, as one or two views."""
+    rows = ring.shape[0]
     first = lo % rows
     if first + hi - lo <= rows:
-        return buffer[:, first:first + hi - lo]
-    return np.concatenate([buffer[:, first:], buffer[:, :hi % rows]], axis=1)
+        return [ring[first:first + hi - lo]]
+    return [ring[first:], ring[:hi % rows]]
 
 
 def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
@@ -460,88 +479,105 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
 
     Step j (1-based) evaluates the drift at t_j = (j-1)/N and advances the
     state to t_j + 1/N.  The run walks config.plan: an actual step evaluates
-    the denoiser, caches its feature and takes the Euler step; a stretch of
-    skipped steps is one product of its planned weights with the newest
-    cached features, and its states one cumulative sum of the Euler
-    increments.  A spectral stretch is two stacked numpy products, whatever
-    its length and block count: one carries every block's passes new since
-    the last stretch through the planned fold, and one forecasts every step
-    and block as w @ Q^T H.  Each slice of either is its own 2-D product, so
-    the run matches observe/predict bitwise; the passes are block-major for
-    that, since over a transposed, non-contiguous operand it is not.  The
-    oracle kind's plan makes every step an actual pass, the reference
-    trajectory for RMSE comparisons.  A non-finite feature at any
-    actual pass, the oracle's included, raises SamplerError naming the
-    run's kind, the step and its time.
+    the denoiser, caches its feature in a ring of the newest passes and
+    takes the Euler step; a stretch of skipped steps is one product of its
+    planned weights with the newest cached features, and its states one
+    cumulative sum of the Euler increments, made in place in the states.
+    A spectral stretch writes only into arrays made once a run, and makes
+    no numpy call a step: it copies the passes new since the last stretch
+    from the ring into one operand, under every block's carried Q^T H,
+    makes one stacked product through the planned fold that writes the new
+    Q^T H over the old (numpy buffers that overlap), and one stacked
+    product that forecasts every step and block as w @ Q^T H.  Each slice
+    of either is its own 2-D product over a C-contiguous operand, so the
+    run matches observe/predict bitwise.  The oracle kind's plan makes
+    every step an actual pass, the reference trajectory for RMSE
+    comparisons.  A non-finite feature at any actual pass, the oracle's
+    included, raises SamplerError naming the run's kind, the step and its
+    time.
 
     Last-block caching writes each pass's output feature h straight into
     its row of the pass ring.  Per-block caching (block_stack only)
     subtracts every block's residual y_b - y_(b-1) into it, and forecasts
-    base(t) plus their forecasts, added one block at a time in block
-    order: every block shares one design and lambda, so one plan serves
-    them all, and the base feature needs no network pass.
+    base(t) plus their forecasts: every step's base feature is written into
+    the features once, before the loop, and a stretch adds its blocks'
+    forecasts to its rows one block at a time, in block order.  Every block
+    shares one design and lambda, so one plan serves them all, and the base
+    feature needs no network pass.
     """
     started = time.perf_counter()
     plan = config.plan
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (spec.dim,):
         raise ValueError(f"initial latent must have shape ({spec.dim},), got {x.shape}")
-    base, n_blocks = None, 1
-    if config.forecaster.cache_scope == "per_block":
-        if not isinstance(spec, BlockStack):
-            raise ValueError("per-block caching requires a block_stack denoiser")
-        base, n_blocks = spec.base_feature, spec.n_blocks
+    per_block = config.forecaster.cache_scope == "per_block"
+    if per_block and not isinstance(spec, BlockStack):
+        raise ValueError("per-block caching requires a block_stack denoiser")
+    n_blocks = spec.n_blocks if per_block else 1
 
     n = config.n_steps
     times, increments = plan.times.tolist(), plan.increments
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
-    passes = np.empty((n_blocks, plan.n_rows, spec.dim))  # pass k at row k % n_rows of every block
-    qth = None  # every block's Q^T H of the spectral fit, carried from stretch to stretch
+    passes = np.empty((plan.n_rows, n_blocks, spec.dim))  # pass k at row k % n_rows
+    if config.forecaster.kind == "spectrum":
+        # every block's [Q^T H; new passes], a C-contiguous slice each; numpy buffers the fold's overlap with it
+        n_coef = config.forecaster.degree + 1
+        operand = np.empty((n_blocks, n_coef + plan.n_rows, spec.dim))
+        qth = operand[:, :n_coef]
+    if per_block:
+        longest = max((s.stop - s.start for s in plan.stretches.values()), default=0)
+        terms = np.empty((longest, n_blocks, 1, spec.dim))  # a stretch's forecast of every step and block
+        spec.base_features(plan.times, out=features)  # a skipped step's row starts from its base feature
     k = j = 0
     while j < n:
         stretch = plan.stretches.get(j)
         if stretch is None:
             t = times[j]
-            target = passes[:, k % plan.n_rows]
-            if base is None:
-                h = target[0] = evaluate_denoiser(spec, x, t)  # the score is h itself
-            else:
+            target = passes[k % plan.n_rows]
+            if per_block:
                 stages = spec.stage_outputs(t)
-                h = stages[-1]
                 np.subtract(stages[1:], stages[:-1], out=target)  # y_b - y_(b-1), one row a block
+                features[j] = stages[-1]
+                del stages  # not held through the next pass or fold, which set the run's memory peak
+            else:
+                features[j] = target[0] = evaluate_denoiser(spec, x, t)  # the score is the feature itself
             if not np.isfinite(target).all():
                 raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
                                    f"feature at t={t:g} has non-finite entries")
             k += 1
+            h = features[j]
             x = x + increments[j] * h
             states[j] = x
-            features[j] = h
             j += 1
             continue
         stop = stretch.stop
         H = features[j:stop]
-        cached = _newest(passes, stretch.lo, stretch.hi)
-        if stretch.fold is None:
-            np.dot(stretch.weights, cached[0], out=H)
+        pieces = _newest(passes, stretch.lo, stretch.hi)
+        if stretch.fold is None:  # Taylor or naive reuse, whose cache is always last-block
+            newest = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            np.dot(stretch.weights, newest[:, 0], out=H)
         else:
-            if stretch.fresh:  # read-only zeros: the fold's one operand copies them
-                qth = np.broadcast_to(0.0, (n_blocks, stretch.fold.shape[1], spec.dim))
-            qth = rotate_features(stretch.fold, qth, cached)  # every block's fold, one 2-D product each
+            if stretch.fresh:
+                qth[...] = 0.0
+            row = n_coef
+            for piece in pieces:
+                operand[:, row:row + len(piece)] = piece.swapaxes(0, 1)
+                row += len(piece)
+            rotate_features(stretch.fold, operand[:, :row], out=qth)  # every block's fold, one 2-D product each
             # one vector-matrix product a step and block, as each block's forecaster would predict
             w, leading = stretch.weights[:, None, None, :], qth[None, :, : stretch.weights.shape[1]]
-            if base is None:
-                np.matmul(w, leading, out=H[:, None, None])
-            else:
-                terms = np.matmul(w, leading)  # (steps, n_blocks, 1, width)
-                for i, t in enumerate(times[j:stop]):
-                    H[i] = base(t)
+            if per_block:  # H already holds each step's base feature
+                block_terms = np.matmul(w, leading, out=terms[: stop - j])
                 for b in range(n_blocks):  # each block's forecast added in block order, as the forecasters sum
-                    H += terms[:, b, 0]
-                del terms  # not held through the next fold, which sets the run's memory peak
-        steps = increments[j:stop, None] * H
-        steps[0] += x  # the running sum adds each step to the state in turn, as the actual steps do
-        np.add.accumulate(steps, axis=0, out=states[j:stop])
+                    H += block_terms[:, b, 0]
+            else:
+                np.matmul(w, leading, out=H[:, None, None])
+        # the running sum adds each step to the state in turn, as the actual steps do
+        steps = np.multiply(increments[j:stop, None], H, out=states[j:stop])
+        steps[0] += x
+        if stop - j > 1:
+            np.add.accumulate(steps, axis=0, out=steps)
         x = states[stop - 1]
         j = stop
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _count(value, what: str, least: int = 0) -> int:
-    """value as an int >= least; a bool or a number with a fractional part is an error, not truncated."""
-    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
+from .basis import _count, _real
 
 
 @dataclass(frozen=True)
@@ -34,16 +28,19 @@ class ScheduleParams:
     alpha: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_steps", "interval", "warmup"):  # a non-number is refused before any comparison
+            value = getattr(self, name)
+            if not isinstance(value, (int, float, np.integer)):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not (1 <= self.warmup <= self.n_steps):
             raise ValueError(f"warmup must be in [1, {self.n_steps}], got {self.warmup}")
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+        alpha = _real(self.alpha, "alpha")  # a bool too: it dumps as true, which a config refuses
+        if not (math.isfinite(alpha) and alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if isinstance(self.alpha, bool):  # dumped as true, which a config refuses
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         for name in ("n_steps", "interval", "warmup"):  # in range, so now only a bool or a fraction is refused
             object.__setattr__(self, name, _count(getattr(self, name), name, least=1))
 

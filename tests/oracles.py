@@ -74,7 +74,8 @@ def ridge_fit(taus, features, degree, lam):
     """The fit to features at the projected times taus: its Q^T H and triangle, as a plan and a run make them."""
     H = np.array(features, dtype=float)
     factor = fold_rows(RidgeFactor.empty(lam, degree + 1), basis_matrix(degree, taus))
-    return rotate_features(factor.q, np.zeros((degree + 1, H.shape[1])), H), leading_triangle(factor, degree)
+    qth = rotate_features(factor.q, np.concatenate([np.zeros((degree + 1, H.shape[1])), H]))
+    return qth, leading_triangle(factor, degree)
 
 
 def ridge_forecast(qth, triangle, taus):
@@ -362,7 +363,8 @@ def spectral_fit(
         factor, qth = RidgeFactor.empty(config.lam, config.degree + 1), np.zeros((config.degree + 1, H.shape[1]))
     degree = config.degree if config.lam > 0.0 else min(config.degree, n - 1)
     factor = fold_rows(factor, rows)
-    return SpectralState(factor=factor, qth=rotate_features(factor.q, qth, H), degree=degree, fitted_at=t)
+    qth = rotate_features(factor.q, np.concatenate([qth, H]))
+    return SpectralState(factor=factor, qth=qth, degree=degree, fitted_at=t)
 
 
 def forecast_weights(triangle: np.ndarray, t: float) -> np.ndarray:

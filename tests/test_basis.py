@@ -78,6 +78,20 @@ def test_negative_degree_rejected():
         basis_row(-2, 0.0)
 
 
+@pytest.mark.parametrize("degree", [2.7, True, "3", None])
+def test_a_degree_that_is_not_a_count_is_refused_not_truncated(degree):
+    """Refused, not truncated: int() would read 2.7 as degree 2 and True as degree 1."""
+    with pytest.raises(ValueError, match=f"^polynomial degree must be an integer >= 0, got {degree!r}$"):
+        basis_matrix(degree, [0.0])
+    with pytest.raises(ValueError, match=f"^polynomial degree must be an integer >= 0, got {degree!r}$"):
+        truncation_bound(EllipseBound(2.0, 1.0), degree)
+
+
+def test_an_integral_float_degree_is_a_count():
+    assert np.array_equal(basis_matrix(3.0, [0.25]), basis_matrix(3, [0.25]))
+    assert truncation_bound(EllipseBound(2.0, 1.0), np.int64(3)) == truncation_bound(EllipseBound(2.0, 1.0), 3)
+
+
 def test_truncation_bound_values():
     assert truncation_bound(EllipseBound(2.0, 1.0), 3) == pytest.approx(0.25)
     assert truncation_bound(EllipseBound(2.0, 1.0), 0) == pytest.approx(2.0)
@@ -94,6 +108,11 @@ def test_ellipse_bound_validation():
     for rho, sup_bound in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)):
         with pytest.raises(ValueError, match="must be finite"):
             EllipseBound(rho, sup_bound)
+    # a non-number is refused before the range comparisons
+    with pytest.raises(ValueError, match="^ellipse parameter must be a number, got '3'$"):
+        EllipseBound("3", 1.0)
+    with pytest.raises(ValueError, match="^sup bound must be a number, got True$"):
+        EllipseBound(2.0, True)
 
 
 def test_magnitude_bounded_on_interval():

@@ -29,6 +29,33 @@ def test_worst_case_values():
     assert taylor_worst_case(6.0, 2, 0.1) == pytest.approx(0.001)
 
 
+@pytest.mark.parametrize("order", [1.9, True, "1"])
+def test_worst_case_refuses_an_order_that_is_not_a_count(order):
+    """Refused, not truncated: order 1.9 read as 1 would give 0.005, the order-1 bound."""
+    with pytest.raises(ValueError, match=f"^order must be an integer >= 0, got {order!r}$"):
+        taylor_worst_case(1.0, order, 0.1)
+
+
+@pytest.mark.parametrize("degree", [4.5, True, -1])
+def test_spectral_bound_and_decay_refuse_a_degree_that_is_not_a_count(degree):
+    with pytest.raises(ValueError, match=f"^degree must be an integer >= 0, got {degree!r}$"):
+        spectral_bound(1e-3, degree, 8, 0.5, 0.1, EXP_ELLIPSE)
+    with pytest.raises(ValueError, match=f"^degree must be an integer >= 0, got {degree!r}$"):
+        verify_cheb_decay(np.exp, EXP_ELLIPSE, [2, degree], grid_size=11)
+
+
+def test_bounds_refuse_a_non_number():
+    """A ValueError, not a TypeError from a comparison; the point count, a count, also refuses a fraction."""
+    with pytest.raises(ValueError, match="^derivative bound must be a number, got '1'$"):
+        taylor_worst_case("1", 1, 0.1)
+    with pytest.raises(ValueError, match="^forecast step must be a number, got None$"):
+        taylor_worst_case(1.0, 1, None)
+    with pytest.raises(ValueError, match="^eps_m must be a number, got '1e-3'$"):
+        spectral_bound("1e-3", 4, 8, 0.5, 0.1, EXP_ELLIPSE)
+    with pytest.raises(ValueError, match="^point count must be an integer >= 0, got 8.5$"):
+        spectral_bound(1e-3, 4, 8.5, 0.5, 0.1, EXP_ELLIPSE)
+
+
 def test_worst_case_homogeneity():
     for order in range(6):
         h = 0.17

@@ -114,7 +114,7 @@ def test_rank_deficient_design_without_ridge_fails():
     fits = {lam: fold_rows(RidgeFactor.empty(lam, 2), phi) for lam in (0.0, 0.1)}
     with pytest.raises(RidgeFitError, match="rank-deficient"):
         leading_triangle(fits[0.0], 1)
-    qth = rotate_features(fits[0.1].q, np.zeros((2, 1)), np.ones((3, 1)))
+    qth = rotate_features(fits[0.1].q, np.concatenate([np.zeros((2, 1)), np.ones((3, 1))]))
     assert np.all(np.isfinite(ridge_coefficients(qth, leading_triangle(fits[0.1], 1))))
 
 
@@ -137,9 +137,10 @@ def test_prior_factor_folds_rows_like_one_batch(lam):
         batch = solve_leading(*ridge_fit(taus, H, degree, lam))
         split = int(rng.integers(1, n_points))
         head = fold_rows(RidgeFactor.empty(lam, degree + 1), basis_matrix(degree, taus[:split]))
-        qth = rotate_features(head.q, np.zeros((degree + 1, H.shape[1])), H[:split])
+        qth = rotate_features(head.q, np.concatenate([np.zeros((degree + 1, H.shape[1])), H[:split]]))
         tail = fold_rows(head, basis_matrix(degree, taus[split:]))
-        qth = rotate_features(tail.q, qth, H[split:])  # carried through the second fold, as a run carries it
+        # carried through the second fold, as a run carries it
+        qth = rotate_features(tail.q, np.concatenate([qth, H[split:]]))
         assert tail.n_points == n_points
         folded = solve_leading(qth, leading_triangle(tail, degree))
         np.testing.assert_allclose(folded, batch, rtol=0.0, atol=1e-12 * max(1.0, np.abs(batch).max()))

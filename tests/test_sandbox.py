@@ -108,6 +108,15 @@ NON_FINITE_SPECS = {
     "sine phase": (lambda: SineChannel(phase=math.nan), "channel phase must be finite, got nan"),
     "exponential scale": (lambda: ExponentialChannel(scale=math.inf), "channel scale must be finite, got inf"),
     "exponential rate": (lambda: ExponentialChannel(rate=math.nan), "channel rate must be finite, got nan"),
+    # a non-number, which a float conversion would take or np.isfinite fail on with a TypeError
+    "string weight": (lambda: GaussianMixtureFlow(("0.5", "0.5"), np.zeros((2, 2)), np.ones((2, 2))),
+                      "mixture weights must be numbers, got \\('0.5', '0.5'\\)"),
+    "string mean": (lambda: GaussianMixtureFlow((1.0,), [["1.5", "2"]], np.ones((1, 2))),
+                    "mixture means must be numbers"),
+    "bool variance": (lambda: GaussianMixtureFlow((1.0,), np.zeros((1, 2)), [[True, True]]),
+                      "mixture variances must be numbers"),
+    "string amplitude": (lambda: SineChannel(amplitude="1"), "channel amplitude must be numbers, got '1'"),
+    "None coefficient": (lambda: PolynomialChannel((1.0, None)), "channel coefficients must be numbers"),
 }
 
 
@@ -176,6 +185,7 @@ INVALID_BLOCK_STACKS = {
     "infinite gain": (dict(gain=float("inf")), "gain must be finite and >= 0, got inf"),
     "NaN gain": (dict(gain=float("nan")), "gain must be finite and >= 0, got nan"),
     "boolean gain": (dict(gain=True), "nonlinearity gain must be a number, got True"),
+    "string gain": (dict(gain="0.5"), "nonlinearity gain must be a number, got '0.5'"),
 }
 
 
@@ -205,6 +215,21 @@ def test_spec_refuses_a_seed_that_is_not_a_count(kind, seed):
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_spec_takes_an_integral_seed(kind):
     assert [type(SPECS[kind](seed=s).seed) for s in (3, np.int64(3), 3.0)] == [int, int, int]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.integers(1, 9) | st.just(256),
+    n_blocks=st.integers(1, 3),
+    seed=st.integers(0, 4),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_base_features_rows_are_bitwise_base_feature(width, n_blocks, seed, ts):
+    spec = BlockStack(n_blocks=n_blocks, width=width, seed=seed)
+    out = np.full((len(ts), width), np.nan)
+    assert spec.base_features(np.array(ts), out=out) is out
+    for row, t in zip(out, ts):
+        assert row.tobytes() == spec.base_feature(t).tobytes()
 
 
 def test_block_stack_takes_integral_floats_as_counts():
@@ -323,6 +348,60 @@ def test_oracle_run_checks_every_pass():
         SamplerError, match=r"^oracle run: observe failed at step 16 \(t=0.75\): feature at t=0.75 has non-finite"
     ):
         oracle_run(spec, 20, np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", ["oracle", "naive", "taylor", "spectrum"])
+def test_finite_features_whose_sum_overflows_are_accepted(kind):
+    """Each pass's 256 features are finite, ~1e306 each, but their sum passes the float maximum 1.8e308."""
+    rng = np.random.default_rng(5)
+    spec = FunctionFamily(tuple(PolynomialChannel((c, 0.5 * c)) for c in 1e306 * rng.uniform(1.0, 2.0, 256)))
+    assert sum(spec.features(0.0).tolist()) == math.inf  # Python floats overflow to inf without a warning
+    config = SolverConfig(uniform_schedule(20, 3, 5), ForecasterChoice(kind=kind, degree=2))
+    run = run_sampler(spec, config, np.zeros(spec.dim))
+    assert np.isfinite(run.features).all() and np.isfinite(run.states).all()
+
+
+@pytest.mark.parametrize("kind", ["oracle", "naive", "taylor", "spectrum"])
+def test_a_feature_overflowing_at_a_pass_fails_at_that_step(kind):
+    spec = FunctionFamily(channels=(PolynomialChannel((1.0,)), ExponentialChannel(1.0, 8000.0)))
+    # exp(8000 t) is inf from t = 0.1 on, step 2 of 10, a pass of the warm-up
+    config = SolverConfig(uniform_schedule(10, 2, 2), ForecasterChoice(kind=kind, order=0))
+    with np.errstate(over="ignore"), pytest.raises(
+        SamplerError, match=rf"^{kind} run: observe failed at step 2 \(t=0.1\): feature at t=0.1 has non-finite"
+    ):
+        run_sampler(spec, config, np.zeros(2))
+
+
+def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer():
+    """A per-block run holds its outputs, the pass ring, the fold operand and a stretch's forecast terms.
+
+    At a stretch numpy adds one Q^T H-sized buffer for the fold's overlap of
+    its operand; 12 KiB covers the Python objects.  A fresh (N, width) base
+    array, a second fold operand, or the last pass's stage array held
+    through the stretch would not fit.
+    """
+    spec = BlockStack(n_blocks=4, width=256, seed=1)
+    choice = ForecasterChoice(kind="spectrum", cache_scope="per_block")
+    config = SolverConfig(uniform_schedule(200, 2, 5), choice)
+    x0 = sample_initial_latent(spec.dim, 1)
+    run_sampler(spec, config, x0)
+    tracemalloc.start()
+    try:
+        run = run_sampler(spec, config, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = spec.width * 8
+    n_rows, n_coef = config.plan.n_rows, choice.degree + 1
+    longest = max(s.stop - s.start for s in config.plan.stretches.values())
+    arrays = (
+        run.states.nbytes + run.features.nbytes
+        + n_rows * spec.n_blocks * row  # the pass ring
+        + spec.n_blocks * (n_coef + n_rows) * row  # the fold operand
+        + longest * spec.n_blocks * row  # the forecast terms
+        + spec.n_blocks * n_coef * row  # numpy's buffer for the fold's overlap
+    )
+    assert peak <= arrays + 12 * 2**10
 
 
 def test_rmse_identical_runs_is_zero():
@@ -849,6 +928,13 @@ def test_forecaster_choice_rejects_a_fractional_or_bool_order(order):
 def test_forecaster_choice_rejects_a_fractional_or_bool_window(kind, window):
     with pytest.raises(ValueError, match=f"cache window must be an integer >= 1, got {window!r}"):
         ForecasterChoice(kind=kind, window=window)
+
+
+@pytest.mark.parametrize("lam", ["0.1", True, None])
+def test_forecaster_choice_refuses_a_lambda_that_is_not_a_number(lam):
+    """Not converted: float() would take "0.1" as 0.1 and True as 1.0."""
+    with pytest.raises(ValueError, match=f"^regularization strength must be a number, got {lam!r}$"):
+        ForecasterChoice(kind="spectrum", lam=lam)
 
 
 def test_forecaster_choice_takes_an_integral_float_order():

@@ -127,6 +127,11 @@ INVALID_PARAMS = [
     ((True, 1, 1, 0.0), "n_steps must be an integer"),
     ((50.5, 1, 1, 0.0), "n_steps must be an integer"),
     ((50, 2, 2.5, 0.0), "warmup must be an integer"),
+    # a non-number, refused before any comparison
+    (("50", 1, 1, 0.0), "^n_steps must be an integer >= 1, got '50'$"),
+    ((None, 1, 1, 0.0), "^n_steps must be an integer >= 1, got None$"),
+    ((50, "2", 1, 0.0), "^interval must be an integer >= 1, got '2'$"),
+    ((50, 2, 1, "3"), "^alpha must be a number, got '3'$"),
 ]
 
 
