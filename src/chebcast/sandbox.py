@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -243,10 +244,14 @@ class BlockStack:
         np.matmul(self._base_coeffs, powers[:, :, None], out=out[:, :, None])
         return out
 
-    def stage_outputs(self, t: float) -> np.ndarray:
-        """The (n_blocks + 1, width) array of rows y_0, y_1, ..., y_B: y_0 the base feature, y_B the output."""
+    def stage_outputs(self, t: float, base: np.ndarray | None = None) -> np.ndarray:
+        """The (n_blocks + 1, width) array of rows y_0, y_1, ..., y_B: y_0 the base feature, y_B the output.
+
+        base, when given, is y_0 made already: bitwise base_feature(t), as
+        each row of base_features is.
+        """
         stages = np.empty((self.n_blocks + 1, self.width))
-        y = stages[0] = self.base_feature(t)
+        y = stages[0] = self.base_feature(t) if base is None else base
         for b, rot in enumerate(self._rotations, start=1):
             y = stages[b] = y + self.gain * np.tanh(rot @ y)
         return stages
@@ -315,13 +320,16 @@ class ForecasterChoice:
 class Stretch:
     """Skipped steps start..stop-1 (0-based): their features are weights @ passes[lo:hi].
 
-    A Taylor or naive stretch weighs the newest order+1 passes.  A spectral
-    stretch (fold set) instead folds passes[lo:hi] into the fit's Q^T H with
-    fold, the orthonormal factor of the fit's QR update, starting from zeros
-    when fresh and else from the previous spectral stretch's Q^T H.  Each of
-    its features is its row of weights, the forecast's w, times the leading
-    rows of that Q^T H: w @ Q^T H for each step and block, as the spectral
-    forecast is defined, though a run makes them all in one stacked product.
+    A run reads passes lo..hi-1 in place, in the pass rows of its store
+    (ForecastPlan): at their first hi - lo rows, directly under every
+    block's Q^T H.  A Taylor or naive stretch weighs the newest order+1
+    passes.  A spectral stretch (fold set) instead folds passes[lo:hi] into
+    the fit's Q^T H with fold, the orthonormal factor of the fit's QR
+    update, starting from zeros when fresh and else from the previous
+    spectral stretch's Q^T H.  Each of its features is its row of weights,
+    the forecast's w, times the leading rows of that Q^T H: w @ Q^T H for
+    each step and block, as the spectral forecast is defined, though a run
+    makes them all in one stacked product.
     """
 
     start: int
@@ -331,6 +339,51 @@ class Stretch:
     weights: np.ndarray  # (stop - start, hi - lo), or (stop - start, n_coef) with a fold
     fold: np.ndarray | None = None
     fresh: bool = False
+
+
+Moves = tuple[tuple[slice, slice], ...]  # (source, destination) row slices of the pass store, copied in order
+
+
+def _lay_out(stretches: list[Stretch], nfe: int, n_coef: int) -> tuple[tuple[int, ...], dict[int, Moves], int]:
+    """The store row of each pass, the moves after each stretch that makes any, and the store's pass rows.
+
+    A pass is written where the first stretch to read it reads it; one that
+    no stretch reads, at the first pass row, which no pass a stretch reads
+    holds when it is written.  After a stretch, the passes it read that a
+    later stretch reads again move.  They slide down under the next stretch
+    if it reads them: Taylor's newest order passes, and a window's passes
+    after its first eviction.  Else they are parked, in pass order, in the
+    rows after the most any stretch reads, until a stretch reads them: a
+    window's passes before its first eviction, all folded afresh then.  A
+    plan whose passes are each read once (spectral without a window) makes
+    no moves.
+    """
+    last = [-1] * nfe  # the last stretch to read each pass, ascending over each stretch's passes
+    for i, s in enumerate(stretches):
+        last[s.lo:s.hi] = [i] * (s.hi - s.lo)
+    rows = [n_coef] * nfe
+    park = n_coef + max([1] + [s.hi - s.lo for s in stretches])  # the first row of the parked passes
+    end, parked, written, moves = park, None, 0, {}  # parked: the first parked pass, or None
+    for i, s in enumerate(stretches):
+        new = max(s.lo, written)  # the passes written since the last stretch that this one reads
+        rows[new:s.hi] = range(new + n_coef - s.lo, s.hi + n_coef - s.lo)
+        written = s.hi
+        after = stretches[i + 1].lo if i + 1 < len(stretches) else nfe  # the first pass the next stretch reads
+        kept = bisect_right(last, i, s.lo, s.hi)  # the first pass a later stretch reads again
+        copies = []
+        if kept < s.hi:
+            if parked is None and kept < after:
+                parked = kept
+            # parked after the others, or slid down under the next stretch, which reads them
+            at = park + kept - parked if parked is not None and parked < after else n_coef + kept - after
+            copies.append((slice(n_coef + kept - s.lo, n_coef + s.hi - s.lo), slice(at, at + s.hi - kept)))
+            end = max(end, at + s.hi - kept)
+        if parked is not None and parked >= after:  # the next stretch reads the parked passes too
+            copies.append((slice(park, park + s.lo - parked), slice(n_coef + parked - after, n_coef + s.lo - after)))
+            parked = None
+        if copies:
+            moves[s.start] = tuple(copies)
+    return tuple(rows), moves, end - n_coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,13 +396,30 @@ class ForecastPlan:
     naive forecasts, or the spectral fit's fold and its forecasts' w, which
     need no features at all.  A plan is always complete: plan_forecasts
     refuses a schedule with a forecast it cannot make.
+
+    The plan also lays out the run's pass store, one (n_blocks, n_coef +
+    n_rows, width) array: every block's Q^T H in its first n_coef rows (none
+    but for the spectral kind), then the pass rows.  The k-th pass
+    (0-based) is written once, at row pass_rows[k], and each stretch reads
+    its passes in place (see Stretch).  After the stretch that starts at
+    step j, a run copies the row slices moves[j], in order: they carry the
+    passes a later stretch reads again to where it reads them (_lay_out).
     """
 
     times: np.ndarray       # (N,) t_j = (j-1)/N
     increments: np.ndarray  # (N,) Euler step lengths: (t_j + 1/N) - t_j, and 1 - t_N at the last step
     flags: tuple[str, ...]
     stretches: dict[int, Stretch]  # keyed by their first step
-    n_rows: int  # newest passes a run keeps: the most a stretch reads, and at least 1
+    n_coef: int  # rows of Q^T H above the passes: degree + 1 for the spectral kind, else 0
+    pass_rows: tuple[int, ...]  # (NFE,) the store row each pass is written at
+    moves: dict[int, Moves]  # keyed by the first step of the stretch they follow, if it moves any pass
+    n_rows: int  # pass rows of the store: the most a stretch reads, then any parked passes; at least 1
+
+    @classmethod
+    def laid_out(cls, times, increments, flags, stretches: list[Stretch], n_coef: int) -> ForecastPlan:
+        """The plan of these stretches, in step order, with the pass store laid out for them (_lay_out)."""
+        pass_rows, moves, n_rows = _lay_out(stretches, flags.count("actual"), n_coef)
+        return cls(times, increments, flags, {s.start: s for s in stretches}, n_coef, pass_rows, moves, n_rows)
 
 
 def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:
@@ -372,7 +442,7 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
     increments = (times + dt) - times
     increments[-1] = 1.0 - times[-1]
     if choice.kind == "oracle":
-        return ForecastPlan(times, increments, ("actual",) * n, {}, 1)
+        return ForecastPlan.laid_out(times, increments, ("actual",) * n, [], 0)
     spectral = choice.kind == "spectrum"
     order = choice.order if choice.kind == "taylor" else 0  # naive reuse is Taylor order 0
     window = choice.window or n
@@ -383,10 +453,10 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
     steps = np.array(passes) - 1
     if spectral:  # project_time, vectorized; basis_matrix checks the range
         phi = basis_matrix(choice.degree, 2.0 * times - 1.0)
-        pass_rows, fit = phi[steps], None
+        pass_phi, fit = phi[steps], None
     else:
         pass_times = times[steps]
-    stretches = {}
+    stretches = []
     for k, (start, stop) in enumerate(zip(passes, [j - 1 for j in passes[1:]] + [n]), start=1):
         if start == stop:
             continue
@@ -395,7 +465,7 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
                 if fit is None or k > window:  # fold the whole window afresh, from the prior rows alone
                     fit = RidgeFactor.empty(choice.lam, choice.degree + 1)
                 new = min(k, window) - fit.n_points
-                fit = fold_rows(fit, pass_rows[k - new:k])
+                fit = fold_rows(fit, pass_phi[k - new:k])
                 weights = spectral_weights(leading_triangle(fit, choice.degree), phi[start:stop])
                 stretch = Stretch(start, stop, k - new, k, weights, fit.q, fit.n_points == new)
             else:
@@ -407,9 +477,8 @@ def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> Fo
         except (ValueError, RidgeFitError) as err:  # a cache too short for the order, or no unique fit
             raise ValueError(f"the {choice.kind} forecast at step {start + 1} (t={times[start]:g}) "
                              f"cannot be made: {err}") from err
-        stretches[start] = stretch
-    n_rows = max([1] + [s.hi - s.lo for s in stretches.values()])
-    return ForecastPlan(times, increments, tuple(flags), stretches, n_rows)
+        stretches.append(stretch)
+    return ForecastPlan.laid_out(times, increments, tuple(flags), stretches, choice.degree + 1 if spectral else 0)
 
 
 @dataclass(frozen=True)
@@ -460,15 +529,6 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _newest(ring: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
-    """Passes lo..hi-1 (hi - lo <= rows) of a (rows, blocks, F) ring, pass k at row k % rows, as one or two views."""
-    rows = ring.shape[0]
-    first = lo % rows
-    if first + hi - lo <= rows:
-        return [ring[first:first + hi - lo]]
-    return [ring[first:], ring[:hi % rows]]
-
-
 def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
     """Seeded standard-normal initial state."""
     return np.random.default_rng(seed).standard_normal(dim)
@@ -479,31 +539,31 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
 
     Step j (1-based) evaluates the drift at t_j = (j-1)/N and advances the
     state to t_j + 1/N.  The run walks config.plan: an actual step evaluates
-    the denoiser, caches its feature in a ring of the newest passes and
-    takes the Euler step; a stretch of skipped steps is one product of its
-    planned weights with the newest cached features, and its states one
-    cumulative sum of the Euler increments, made in place in the states.
-    A spectral stretch writes only into arrays made once a run, and makes
-    no numpy call a step: it copies the passes new since the last stretch
-    from the ring into one operand, under every block's carried Q^T H,
-    makes one stacked product through the planned fold that writes the new
-    Q^T H over the old (numpy buffers that overlap), and one stacked
-    product that forecasts every step and block as w @ Q^T H.  Each slice
-    of either is its own 2-D product over a C-contiguous operand, so the
-    run matches observe/predict bitwise.  The oracle kind's plan makes
-    every step an actual pass, the reference trajectory for RMSE
-    comparisons.  A non-finite feature at any actual pass, the oracle's
-    included, raises SamplerError naming the run's kind, the step and its
-    time.
+    the denoiser, writes its feature once into the pass store, at the row
+    the plan laid out for it, and takes the Euler step; a stretch of
+    skipped steps is one product of its planned weights with its passes,
+    read in place from the store, and its states one cumulative sum of the
+    Euler increments, made in place in the states.  After it, the stretch's
+    planned slice moves carry the passes a later stretch reads again.  A
+    spectral stretch writes only into arrays made once a run, and makes no
+    numpy call a step: one stacked product through the planned fold of its
+    passes under every block's carried Q^T H writes the new Q^T H over the
+    old (numpy buffers that overlap), and one stacked product forecasts
+    every step and block as w @ Q^T H.  Each slice of either is its own 2-D
+    product over a C-contiguous operand, so the run matches
+    observe/predict bitwise.  The oracle kind's plan makes every step an
+    actual pass, the reference trajectory for RMSE comparisons.  A
+    non-finite feature at any actual pass, the oracle's included, raises
+    SamplerError naming the run's kind, the step and its time.
 
-    Last-block caching writes each pass's output feature h straight into
-    its row of the pass ring.  Per-block caching (block_stack only)
-    subtracts every block's residual y_b - y_(b-1) into it, and forecasts
-    base(t) plus their forecasts: every step's base feature is written into
-    the features once, before the loop, and a stretch adds its blocks'
-    forecasts to its rows one block at a time, in block order.  Every block
-    shares one design and lambda, so one plan serves them all, and the base
-    feature needs no network pass.
+    Last-block caching writes each pass's output feature h into its store
+    row.  Per-block caching (block_stack only) writes every block's residual
+    y_b - y_(b-1) there instead, and forecasts base(t) plus their
+    forecasts: every step's base feature is written into the features once,
+    before the loop, where an actual pass starts its stages from it and a
+    stretch adds its blocks' forecasts to its rows one block at a time, in
+    block order.  Every block shares one design and lambda, so one plan
+    serves them all, and the base feature needs no network pass.
     """
     started = time.perf_counter()
     plan = config.plan
@@ -517,26 +577,24 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
 
     n = config.n_steps
     times, increments = plan.times.tolist(), plan.increments
+    pass_rows, moves, n_coef = plan.pass_rows, plan.moves, plan.n_coef
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
-    passes = np.empty((plan.n_rows, n_blocks, spec.dim))  # pass k at row k % n_rows
-    if config.forecaster.kind == "spectrum":
-        # every block's [Q^T H; new passes], a C-contiguous slice each; numpy buffers the fold's overlap with it
-        n_coef = config.forecaster.degree + 1
-        operand = np.empty((n_blocks, n_coef + plan.n_rows, spec.dim))
-        qth = operand[:, :n_coef]
+    # every block's [Q^T H; passes], a C-contiguous slice each; numpy buffers the fold's overlap with it
+    store = np.empty((n_blocks, n_coef + plan.n_rows, spec.dim))
+    qth, store_rows = store[:, :n_coef], store.swapaxes(0, 1)  # store_rows[r]: row r of every block
     if per_block:
         longest = max((s.stop - s.start for s in plan.stretches.values()), default=0)
         terms = np.empty((longest, n_blocks, 1, spec.dim))  # a stretch's forecast of every step and block
-        spec.base_features(plan.times, out=features)  # a skipped step's row starts from its base feature
+        spec.base_features(plan.times, out=features)  # each step's row starts from its base feature
     k = j = 0
     while j < n:
         stretch = plan.stretches.get(j)
         if stretch is None:
             t = times[j]
-            target = passes[k % plan.n_rows]
+            target = store_rows[pass_rows[k]]
             if per_block:
-                stages = spec.stage_outputs(t)
+                stages = spec.stage_outputs(t, base=features[j])
                 np.subtract(stages[1:], stages[:-1], out=target)  # y_b - y_(b-1), one row a block
                 features[j] = stages[-1]
                 del stages  # not held through the next pass or fold, which set the run's memory peak
@@ -553,18 +611,13 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             continue
         stop = stretch.stop
         H = features[j:stop]
-        pieces = _newest(passes, stretch.lo, stretch.hi)
+        read = store[:, : n_coef + stretch.hi - stretch.lo]
         if stretch.fold is None:  # Taylor or naive reuse, whose cache is always last-block
-            newest = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            np.dot(stretch.weights, newest[:, 0], out=H)
+            np.dot(stretch.weights, read[0], out=H)
         else:
             if stretch.fresh:
                 qth[...] = 0.0
-            row = n_coef
-            for piece in pieces:
-                operand[:, row:row + len(piece)] = piece.swapaxes(0, 1)
-                row += len(piece)
-            rotate_features(stretch.fold, operand[:, :row], out=qth)  # every block's fold, one 2-D product each
+            rotate_features(stretch.fold, read, out=qth)  # every block's fold, one 2-D product each
             # one vector-matrix product a step and block, as each block's forecaster would predict
             w, leading = stretch.weights[:, None, None, :], qth[None, :, : stretch.weights.shape[1]]
             if per_block:  # H already holds each step's base feature
@@ -573,6 +626,8 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
                     H += block_terms[:, b, 0]
             else:
                 np.matmul(w, leading, out=H[:, None, None])
+        for source, destination in moves.get(j, ()):
+            store[:, destination] = store[:, source]
         # the running sum adds each step to the state in turn, as the actual steps do
         steps = np.multiply(increments[j:stop, None], H, out=states[j:stop])
         steps[0] += x

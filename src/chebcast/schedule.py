@@ -51,7 +51,11 @@ class ActivationSchedule:
     full_pass_indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = self.full_pass_indices
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", least=1))
+        idx = tuple(self.full_pass_indices)  # a tuple, so that a config holding the schedule stays hashable
+        if set(map(type, idx)) != {int}:  # a bool, a float or a numpy integer among them: checked one by one
+            idx = tuple(_count(j, "full-pass index", least=1) for j in idx)
+        object.__setattr__(self, "full_pass_indices", idx)
         if not idx or idx[0] != 1:
             raise ValueError("step 1 must be a full pass")
         if any(b <= a for a, b in zip(idx, idx[1:])):

@@ -491,7 +491,9 @@ def reference_plan(schedule, choice):
     folds and forecast weights w depend on the times alone.  This is the
     plan chebcast.sandbox.plan_forecasts computes from the times; it holds
     NFE unit vectors of length NFE.  A forecast the forecaster cannot make
-    refuses the schedule, as forecast_refused.
+    refuses the schedule, as forecast_refused.  The pass store is laid out
+    from the stretches' reads alone, through the plan's own laid_out; the
+    layout is pinned apart, by replaying it on pass indices.
     """
     n = schedule.n_steps
     dt = 1.0 / n
@@ -500,7 +502,7 @@ def reference_plan(schedule, choice):
     increments[-1] = 1.0 - times[-1]
     forecaster = _make_forecaster(choice)
     if forecaster is None:
-        return ForecastPlan(times, increments, ("actual",) * n, {}, 1)
+        return ForecastPlan.laid_out(times, increments, ("actual",) * n, [], 0)
 
     nfe = schedule.nfe
     spectral = isinstance(forecaster, SpectralForecaster)
@@ -527,5 +529,5 @@ def reference_plan(schedule, choice):
         flags.append("forecast")
     if rows:
         stretches.append(_stretch(rows, k, len(flags), forecaster.state.factor if spectral else None))
-    n_rows = max([1] + [s.hi - s.lo for s in stretches])
-    return ForecastPlan(times, increments, tuple(flags), {s.start: s for s in stretches}, n_rows)
+    n_coef = choice.degree + 1 if spectral else 0
+    return ForecastPlan.laid_out(times, increments, tuple(flags), stretches, n_coef)

@@ -323,10 +323,10 @@ def test_rank_deficient_fit_fails_at_the_forecast_step():
 
 
 class _NanAfter(BlockStack):
-    """Block stack whose output turns NaN from t = 0.3 on."""
+    """Block stack whose output turns NaN from t = 0.3 on, from its base feature or a given one."""
 
-    def stage_outputs(self, t):
-        stages = super().stage_outputs(t)
+    def stage_outputs(self, t, base=None):
+        stages = super().stage_outputs(t, base)
         if t >= 0.3:
             stages[-1] = np.full_like(stages[-1], np.nan)
         return stages
@@ -373,12 +373,12 @@ def test_a_feature_overflowing_at_a_pass_fails_at_that_step(kind):
 
 
 def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer():
-    """A per-block run holds its outputs, the pass ring, the fold operand and a stretch's forecast terms.
+    """A per-block run holds its outputs, the pass store (the fold operand) and a stretch's forecast terms.
 
     At a stretch numpy adds one Q^T H-sized buffer for the fold's overlap of
     its operand; 12 KiB covers the Python objects.  A fresh (N, width) base
     array, a second fold operand, or the last pass's stage array held
-    through the stretch would not fit.
+    through the stretch would not fit; nor would a pass ring beside the store.
     """
     spec = BlockStack(n_blocks=4, width=256, seed=1)
     choice = ForecasterChoice(kind="spectrum", cache_scope="per_block")
@@ -396,8 +396,7 @@ def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer():
     longest = max(s.stop - s.start for s in config.plan.stretches.values())
     arrays = (
         run.states.nbytes + run.features.nbytes
-        + n_rows * spec.n_blocks * row  # the pass ring
-        + spec.n_blocks * (n_coef + n_rows) * row  # the fold operand
+        + spec.n_blocks * (n_coef + n_rows) * row  # the pass store, which is the fold operand
         + longest * spec.n_blocks * row  # the forecast terms
         + spec.n_blocks * n_coef * row  # numpy's buffer for the fold's overlap
     )
@@ -811,6 +810,116 @@ def test_plan_from_the_times_is_bitwise_the_reference_plan(
     assert_same_plan(plan_forecasts(schedule, choice), reference)
 
 
+def replay_pass_store(plan):
+    """Replay the plan's writes and moves on pass indices; yield (stretch, the pass each store row holds) as it runs.
+
+    A row holds -1 until a pass is written there.  Every pass that a
+    stretch still to run reads must sit somewhere in the store after each
+    write and each stretch's moves: none is overwritten before its last
+    reader.
+    """
+    store = np.full(plan.n_coef + plan.n_rows, -1)
+    stretches = list(plan.stretches.values())
+    last = {p: i for i, s in enumerate(stretches) for p in range(s.lo, s.hi)}  # each pass's last reader
+    done = k = 0  # stretches run, passes written
+
+    def assert_live_kept():
+        held = set(store.tolist())
+        assert all(p in held for p in range(k) if last.get(p, -1) >= done)
+
+    for j, flag in enumerate(plan.flags):
+        if flag == "actual":
+            store[plan.pass_rows[k]] = k
+            k += 1
+            assert_live_kept()
+        elif j in plan.stretches:
+            stretch = plan.stretches[j]
+            yield stretch, store.copy()
+            for source, destination in plan.moves.get(j, ()):
+                assert isinstance(source, slice) and isinstance(destination, slice)  # never a fancy index
+                assert source.step is None and destination.step is None
+                store[destination] = store[source]  # numpy's overlap semantics, as the run's moves
+            done += 1
+            assert_live_kept()
+    assert k == len(plan.pass_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["oracle", "naive", "taylor", "spectrum"]),
+    order=st.integers(0, 4),
+    degree=st.integers(0, 6),
+    window=st.none() | st.integers(1, 8),
+    n_steps=st.integers(1, 60),
+    interval=st.integers(1, 6),
+    warmup=st.integers(1, 8),
+    alpha=st.sampled_from([0.0, 0.5, 3.0]),
+)
+# a window of 4 over passes at steps 1, 2, 5, 8, 11: stretches fold passes 0-1, 2 and 3, parking 1-2 until
+# the first eviction folds 1-4 afresh; each stretch after it slides 2-4 down under the next
+@example(kind="spectrum", order=1, degree=4, window=4, n_steps=20, interval=3, warmup=2, alpha=0.0)
+# order 1 at interval 2: each stretch slides its newer pass down under the next
+@example(kind="taylor", order=1, degree=4, window=None, n_steps=50, interval=2, warmup=5, alpha=3.0)
+def test_pass_store_lets_every_stretch_read_its_passes_in_place(
+    kind, order, degree, window, n_steps, interval, warmup, alpha
+):
+    schedule = adaptive_schedule(ScheduleParams(n_steps, interval, min(warmup, n_steps), alpha))
+    try:
+        plan = plan_forecasts(schedule, ForecasterChoice(kind=kind, order=order, degree=degree, window=window))
+    except ValueError:  # a forecast the plan cannot make: no layout to check
+        return
+    assert plan.n_coef == (degree + 1 if kind == "spectrum" else 0)
+    assert all(plan.n_coef <= row < plan.n_coef + plan.n_rows for row in plan.pass_rows)
+    assert set(plan.moves) <= set(plan.stretches)
+    for stretch, store in replay_pass_store(plan):
+        # exactly passes lo..hi-1, at the first pass rows, directly under the Q^T H rows
+        read = store[plan.n_coef : plan.n_coef + stretch.hi - stretch.lo]
+        assert read.tolist() == list(range(stretch.lo, stretch.hi))
+    if kind == "spectrum" and window is None:  # each pass is folded once, where it was written
+        assert plan.moves == {}
+
+
+def test_every_run_reads_its_passes_without_concatenating(monkeypatch):
+    """The store holds each stretch's passes in place: no run of any kind joins them, as a wrapped ring once did."""
+    spec = BlockStack(n_blocks=3, width=5, seed=2)
+    schedule = uniform_schedule(40, 2, 5)
+    choices = [
+        ForecasterChoice(kind="oracle"),
+        ForecasterChoice(kind="naive"),
+        ForecasterChoice(kind="taylor", order=1),
+        ForecasterChoice(kind="taylor", order=3, window=4),
+        ForecasterChoice(kind="spectrum"),
+        ForecasterChoice(kind="spectrum", window=5),
+        ForecasterChoice(kind="spectrum", window=5, cache_scope="per_block"),
+    ]
+    configs = [SolverConfig(schedule, choice) for choice in choices]  # planning folds through np.concatenate
+    x0 = sample_initial_latent(spec.dim, 3)  # and seeding joins its entropy with it
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run reads its passes in place")
+
+    monkeypatch.setattr(np, "concatenate", forbidden)
+    for config in configs:
+        run = run_sampler(spec, config, x0)
+        assert np.isfinite(run.states).all()
+    assert any(config.plan.moves for config in configs)
+
+
+def test_per_block_pass_starts_from_the_base_already_in_the_features(monkeypatch):
+    """Every step's base feature is made once, before the loop; a pass does not make its own."""
+    spec = BlockStack(n_blocks=3, width=5, seed=2)
+    config = SolverConfig(uniform_schedule(30, 2, 5), ForecasterChoice(kind="spectrum", cache_scope="per_block"))
+    x0 = sample_initial_latent(spec.dim, 3)
+    expected = run_sampler(spec, config, x0)
+
+    def forbidden(self, t):
+        raise AssertionError("a per-block pass reads its base feature from the features")
+
+    monkeypatch.setattr(BlockStack, "base_feature", forbidden)
+    run = run_sampler(spec, config, x0)
+    assert np.array_equal(run.features, expected.features) and np.array_equal(run.states, expected.states)
+
+
 @pytest.mark.parametrize("kind", ["taylor", "naive"])
 def test_local_planning_memory_is_linear_in_nfe(kind):
     """A Taylor or naive plan holds order+1 weights a forecast, never one per cached pass."""
@@ -838,10 +947,10 @@ def test_plan_takes_no_part_in_config_identity():
 
 
 class _NanOnce(BlockStack):
-    """Block stack whose last block's residual is NaN at t = 0.4 only."""
+    """Block stack whose last block's residual is NaN at t = 0.4 only, from its base feature or a given one."""
 
-    def stage_outputs(self, t):
-        stages = super().stage_outputs(t)
+    def stage_outputs(self, t, base=None):
+        stages = super().stage_outputs(t, base)
         if t == 0.4:
             stages[-1] = stages[-1].copy()
             stages[-1][0] = np.nan

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -149,3 +150,33 @@ def test_invalid_params_rejected():
 def test_is_full_pass_agrees_with_indices(schedule):
     for step in range(0, schedule.n_steps + 2):
         assert schedule.is_full_pass(step) == (step in schedule.full_pass_indices)
+
+
+# ActivationSchedule fields -> the refused value, as the message names it
+INVALID_SCHEDULES = {
+    "fractional index": ((5, (1, 2.5)), "^full-pass index must be an integer >= 1, got 2.5$"),
+    "boolean index": ((5, (1, True)), "^full-pass index must be an integer >= 1, got True$"),
+    "string index": ((5, (1, "3")), "^full-pass index must be an integer >= 1, got '3'$"),
+    "fractional step count": ((5.5, (1, 2)), "^n_steps must be an integer >= 1, got 5.5$"),
+    "boolean step count": ((True, (1,)), "^n_steps must be an integer >= 1, got True$"),
+    "zero step count": ((0, (1,)), "^n_steps must be an integer >= 1, got 0$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_SCHEDULES))
+def test_schedule_refuses_a_count_that_is_not_one(case):
+    """Refused at construction, not a TypeError out of planning: int() would read 2.5 as 2 and True as 1."""
+    (n_steps, indices), refused = INVALID_SCHEDULES[case]
+    with pytest.raises(ValueError, match=refused):
+        ActivationSchedule(n_steps=n_steps, full_pass_indices=indices)
+
+
+def test_schedule_keeps_its_indices_as_a_tuple_of_ints():
+    from chebcast import ForecasterChoice, SolverConfig
+
+    schedule = ActivationSchedule(n_steps=np.int64(6), full_pass_indices=[1, 2.0, np.int64(4)])
+    assert schedule.full_pass_indices == (1, 2, 4)
+    assert [type(j) for j in (schedule.n_steps, *schedule.full_pass_indices)] == [int] * 4
+    # a list of indices would make the config unhashable
+    config = SolverConfig(schedule, ForecasterChoice(kind="naive"))
+    assert hash(config) == hash(SolverConfig(ActivationSchedule(6, (1, 2, 4)), ForecasterChoice(kind="naive")))
