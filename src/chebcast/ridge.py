@@ -55,17 +55,18 @@ def fold_rows(factor: RidgeFactor, rows: np.ndarray) -> RidgeFactor:
     return RidgeFactor(r, factor.lam, factor.n_points + rows.shape[0], q)
 
 
-def rotate_features(q: np.ndarray, stacked: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def rotate_features(q: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """q^T stacked: the rows of Q^T H after a fold with orthonormal factor q of the rows of H.
 
     stacked is [qth; H], the rows of Q^T H before the fold over the features'
     rows at the folded design rows.  It may be a stack (..., rows, F) of
     several features' operands; each slice of the result is then its own
     2-D product, bitwise the call on that slice alone as long as the slice
-    is C-contiguous.  out may be stacked's own leading rows, which numpy
-    buffers, so that a carried Q^T H is folded in place.
+    is C-contiguous.  A sampling run makes this product through each
+    stretch's planned transpose of q, in place over its carried Q^T H
+    (chebcast.sandbox.Stretch).
     """
-    return np.matmul(q.T, stacked, out=out)
+    return np.matmul(q.T, stacked)
 
 
 def leading_triangle(factor: RidgeFactor, degree: int) -> np.ndarray:

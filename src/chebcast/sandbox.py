@@ -24,12 +24,13 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import _count, _real, basis_matrix
 from .forecasters import spectral_weights, taylor_weights
-from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle, rotate_features
+from .ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle
 from .schedule import ActivationSchedule, ScheduleParams, adaptive_schedule, uniform_schedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
@@ -45,9 +46,9 @@ def _finite(values, what: str) -> None:
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":  # a bool, a string or any other object would be converted or fail to compare
         raise ValueError(f"{what} must be numbers, got {values!r}")
-    bad = ~np.isfinite(array)
-    if bad.any():
-        raise ValueError(f"{what} must be finite, got {float(array[bad].flat[0])}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"{what} must be finite, got {float(array[~finite].flat[0])}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +331,32 @@ class Stretch:
     the forecast's w, times the leading rows of that Q^T H: w @ Q^T H for
     each step and block, as the spectral forecast is defined, though a run
     makes them all in one stacked product.
+
+    The stretch also carries the operands a run takes, so that a run
+    derives none of them: reads, the store rows it reads (n_coef + hi - lo),
+    and, as views of its own arrays or of its plan's, the fold's transpose
+    fold_t and w, the weights in the (stop - start, 1, 1, m) shape of the
+    stacked forecast, for a spectral stretch, and increments, its steps'
+    Euler increments as a column, which ForecastPlan.laid_out sets.
     """
 
     start: int
     stop: int
     lo: int
     hi: int
-    weights: np.ndarray  # (stop - start, hi - lo), or (stop - start, n_coef) with a fold
-    fold: np.ndarray | None = None
+    weights: np.ndarray  # (stop - start, hi - lo), or (stop - start, m <= n_coef) with a fold
+    fold: np.ndarray | None = None  # (n_coef + hi - lo, n_coef)
     fresh: bool = False
+    reads: int = field(init=False)
+    fold_t: np.ndarray | None = field(init=False)
+    w: np.ndarray | None = field(init=False)
+    increments: np.ndarray | None = field(init=False, default=None)  # (stop - start, 1)
+
+    def __post_init__(self):
+        spectral = self.fold is not None
+        object.__setattr__(self, "reads", self.fold.shape[0] if spectral else self.hi - self.lo)
+        object.__setattr__(self, "fold_t", self.fold.T if spectral else None)
+        object.__setattr__(self, "w", self.weights[:, None, None, :] if spectral else None)
 
 
 Moves = tuple[tuple[slice, slice], ...]  # (source, destination) row slices of the pass store, copied in order
@@ -404,6 +422,8 @@ class ForecastPlan:
     its passes in place (see Stretch).  After the stretch that starts at
     step j, a run copies the row slices moves[j], in order: they carry the
     passes a later stretch reads again to where it reads them (_lay_out).
+    Each stretch carries the operands a run takes with it, as views of its
+    own arrays and of the plan's increments, so a run derives none.
     """
 
     times: np.ndarray       # (N,) t_j = (j-1)/N
@@ -414,12 +434,24 @@ class ForecastPlan:
     pass_rows: tuple[int, ...]  # (NFE,) the store row each pass is written at
     moves: dict[int, Moves]  # keyed by the first step of the stretch they follow, if it moves any pass
     n_rows: int  # pass rows of the store: the most a stretch reads, then any parked passes; at least 1
+    lengths: tuple[int, ...]  # the distinct stretch lengths, ascending
+    widths: tuple[int, ...]  # the distinct leading rows m of Q^T H that a spectral stretch's w weighs, ascending
 
     @classmethod
     def laid_out(cls, times, increments, flags, stretches: list[Stretch], n_coef: int) -> ForecastPlan:
-        """The plan of these stretches, in step order, with the pass store laid out for them (_lay_out)."""
+        """The plan of these stretches, in step order, with the pass store laid out for them (_lay_out).
+
+        Each stretch takes its column of the increments here, a view of them,
+        and the plan the distinct shapes of its stretches' operands, for which
+        a run makes the views of its own arrays that stretches share.
+        """
         pass_rows, moves, n_rows = _lay_out(stretches, flags.count("actual"), n_coef)
-        return cls(times, increments, flags, {s.start: s for s in stretches}, n_coef, pass_rows, moves, n_rows)
+        for s in stretches:
+            object.__setattr__(s, "increments", increments[s.start:s.stop, None])
+        lengths = sorted({s.stop - s.start for s in stretches})
+        widths = sorted({s.weights.shape[1] for s in stretches if s.fold is not None})
+        return cls(times, increments, flags, {s.start: s for s in stretches}, n_coef, pass_rows, moves, n_rows,
+                   tuple(lengths), tuple(widths))
 
 
 def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:
@@ -531,6 +563,7 @@ class TrajectoryRecord:
 
 def sample_initial_latent(dim: int, seed: int) -> np.ndarray:
     """Seeded standard-normal initial state."""
+    dim, seed = _count(dim, "latent dimension", least=1), _count(seed, "seed")
     return np.random.default_rng(seed).standard_normal(dim)
 
 
@@ -542,19 +575,23 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     the denoiser, writes its feature once into the pass store, at the row
     the plan laid out for it, and takes the Euler step; a stretch of
     skipped steps is one product of its planned weights with its passes,
-    read in place from the store, and its states one cumulative sum of the
-    Euler increments, made in place in the states.  After it, the stretch's
-    planned slice moves carry the passes a later stretch reads again.  A
-    spectral stretch writes only into arrays made once a run, and makes no
-    numpy call a step: one stacked product through the planned fold of its
-    passes under every block's carried Q^T H writes the new Q^T H over the
-    old (numpy buffers that overlap), and one stacked product forecasts
-    every step and block as w @ Q^T H.  Each slice of either is its own 2-D
-    product over a C-contiguous operand, so the run matches
-    observe/predict bitwise.  The oracle kind's plan makes every step an
+    read in place from the store, and its states one cumulative sum of its
+    planned Euler increments, made in place in the states.  After it, the
+    stretch's planned slice moves carry the passes a later stretch reads
+    again.  A spectral stretch writes only into arrays made once a run, and
+    makes no numpy call a step: one stacked product through the planned
+    fold of its passes under every block's carried Q^T H writes the new
+    Q^T H over the old (numpy buffers that overlap), and one stacked product
+    forecasts every step and block as w @ Q^T H.  Each slice of either is
+    its own 2-D product over a C-contiguous operand, so the run matches
+    observe/predict bitwise.  The plan carries each stretch's operands (see
+    Stretch), and the views of the run's own arrays that stretches share
+    are made once, before the loop, so a stretch costs its numpy calls and
+    derives no view of its own.  The oracle kind's plan makes every step an
     actual pass, the reference trajectory for RMSE comparisons.  A
-    non-finite feature at any actual pass, the oracle's included, raises
-    SamplerError naming the run's kind, the step and its time.
+    non-finite initial latent is a ValueError; a non-finite feature at any
+    actual pass, the oracle's included, raises SamplerError naming the
+    run's kind, the step and its time.
 
     Last-block caching writes each pass's output feature h into its store
     row.  Per-block caching (block_stack only) writes every block's residual
@@ -567,6 +604,7 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     """
     started = time.perf_counter()
     plan = config.plan
+    _finite(x0, "initial latent")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (spec.dim,):
         raise ValueError(f"initial latent must have shape ({spec.dim},), got {x.shape}")
@@ -577,19 +615,24 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
 
     n = config.n_steps
     times, increments = plan.times.tolist(), plan.increments
-    pass_rows, moves, n_coef = plan.pass_rows, plan.moves, plan.n_coef
+    stretches, pass_rows, moves, n_coef = plan.stretches, plan.pass_rows, plan.moves, plan.n_coef
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
     # every block's [Q^T H; passes], a C-contiguous slice each; numpy buffers the fold's overlap with it
     store = np.empty((n_blocks, n_coef + plan.n_rows, spec.dim))
     qth, store_rows = store[:, :n_coef], store.swapaxes(0, 1)  # store_rows[r]: row r of every block
+    # the views stretches share, made once: the leading m rows of every block's Q^T H for each m a w weighs,
+    # and the forecasts' outputs, per step and block for per-block caching, else the features as (N, 1, 1, dim)
+    leading = {m: qth[None, :, :m] for m in plan.widths}
     if per_block:
-        longest = max((s.stop - s.start for s in plan.stretches.values()), default=0)
-        terms = np.empty((longest, n_blocks, 1, spec.dim))  # a stretch's forecast of every step and block
+        terms = np.empty((max(plan.lengths, default=0), n_blocks, 1, spec.dim))  # a stretch's every step and block
+        term_rows = {n: (terms[:n], [terms[:n, b, 0] for b in range(n_blocks)]) for n in plan.lengths}
         spec.base_features(plan.times, out=features)  # each step's row starts from its base feature
+    else:
+        forecasts = features[:, None, None]
     k = j = 0
     while j < n:
-        stretch = plan.stretches.get(j)
+        stretch = stretches.get(j)
         if stretch is None:
             t = times[j]
             target = store_rows[pass_rows[k]]
@@ -611,25 +654,27 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
             continue
         stop = stretch.stop
         H = features[j:stop]
-        read = store[:, : n_coef + stretch.hi - stretch.lo]
         if stretch.fold is None:  # Taylor or naive reuse, whose cache is always last-block
-            np.dot(stretch.weights, read[0], out=H)
+            np.dot(stretch.weights, store[0, : stretch.reads], out=H)
         else:
             if stretch.fresh:
                 qth[...] = 0.0
-            rotate_features(stretch.fold, read, out=qth)  # every block's fold, one 2-D product each
+            # every block's fold, one 2-D product each, as rotate_features makes it
+            np.matmul(stretch.fold_t, store[:, : stretch.reads], out=qth)
             # one vector-matrix product a step and block, as each block's forecaster would predict
-            w, leading = stretch.weights[:, None, None, :], qth[None, :, : stretch.weights.shape[1]]
+            w = stretch.w
             if per_block:  # H already holds each step's base feature
-                block_terms = np.matmul(w, leading, out=terms[: stop - j])
-                for b in range(n_blocks):  # each block's forecast added in block order, as the forecasters sum
-                    H += block_terms[:, b, 0]
+                block_terms, blocks = term_rows[stop - j]
+                np.matmul(w, leading[w.shape[3]], out=block_terms)
+                for block in blocks:  # each block's forecast added in block order, as the forecasters sum
+                    H += block
             else:
-                np.matmul(w, leading, out=H[:, None, None])
-        for source, destination in moves.get(j, ()):
-            store[:, destination] = store[:, source]
+                np.matmul(w, leading[w.shape[3]], out=forecasts[j:stop])
+        if moves:
+            for source, destination in moves.get(j, ()):
+                store[:, destination] = store[:, source]
         # the running sum adds each step to the state in turn, as the actual steps do
-        steps = np.multiply(increments[j:stop, None], H, out=states[j:stop])
+        steps = np.multiply(stretch.increments, H, out=states[j:stop])
         steps[0] += x
         if stop - j > 1:
             np.add.accumulate(steps, axis=0, out=steps)
@@ -646,13 +691,15 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     )
 
 
+@lru_cache(maxsize=16)
+def _oracle_config(n_steps: int) -> SolverConfig:
+    return SolverConfig(schedule=uniform_schedule(n_steps, 1, 1), forecaster=ForecasterChoice(kind="oracle"))
+
+
 def oracle_run(spec: DenoiserSpec, n_steps: int, x0: np.ndarray) -> TrajectoryRecord:
-    """Full-NFE reference run (every step is an actual pass)."""
-    config = SolverConfig(
-        schedule=uniform_schedule(n_steps, 1, 1),
-        forecaster=ForecasterChoice(kind="oracle"),
-    )
-    return run_sampler(spec, config, x0)
+    """Full-NFE reference run (every step is an actual pass), on a config built once per step count."""
+    # checked before the cache, where True and 1.0 would find the config of 1
+    return run_sampler(spec, _oracle_config(_count(n_steps, "n_steps", least=1)), x0)
 
 
 def rmse_vs_oracle(run: TrajectoryRecord, oracle: TrajectoryRecord, checkpoints) -> list[float]:

@@ -341,6 +341,63 @@ def test_non_finite_feature_fails_at_its_step(scope):
         run_sampler(spec, config, np.zeros(3))
 
 
+def test_oracle_run_builds_its_config_once_per_step_count(monkeypatch):
+    import chebcast.sandbox as sandbox
+
+    built = []
+
+    def counting_plan(schedule, choice):
+        built.append(schedule.n_steps)
+        return plan_forecasts(schedule, choice)
+
+    spec = single_gaussian(0.2, 1.1, 3)
+    sandbox._oracle_config.cache_clear()
+    monkeypatch.setattr(sandbox, "plan_forecasts", counting_plan)
+    first, second = oracle_run(spec, 17, np.zeros(3)), oracle_run(spec, 17.0, np.ones(3))
+    assert built == [17]
+    assert first.flags == second.flags == ("actual",) * 17
+    assert np.array_equal(oracle_run(spec, 17, np.zeros(3)).states, first.states)
+    assert built == [17]
+
+
+@pytest.mark.parametrize("n_steps", [True, 1.5, 0])
+def test_oracle_run_checks_the_step_count_before_its_cache(n_steps):
+    """True and 1.0 hash alike with 1, so the cache must not find a config of 1 for a bool."""
+    spec = single_gaussian(0.2, 1.1, 2)
+    oracle_run(spec, 1, np.zeros(2))
+    with pytest.raises(ValueError, match=f"^n_steps must be an integer >= 1, got {n_steps!r}$"):
+        oracle_run(spec, n_steps, np.zeros(2))
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+@pytest.mark.parametrize("kind", ["oracle", "spectrum"])
+def test_a_non_finite_initial_latent_is_refused(family, kind):
+    """Else a block stack, whose features do not read the state, returns NaN and inf states without an error."""
+    spec = SPECS[family]()
+    config = SolverConfig(uniform_schedule(10, 2, 2), ForecasterChoice(kind=kind))
+    for bad in (np.nan, np.inf):
+        x0 = np.zeros(spec.dim)
+        x0[-1] = bad
+        with pytest.raises(ValueError, match=f"^initial latent must be finite, got {bad}$"):
+            run_sampler(spec, config, x0)
+
+
+@pytest.mark.parametrize(("dim", "seed", "refused"), [
+    (True, 1, "latent dimension must be an integer >= 1, got True"),
+    (2.5, 1, "latent dimension must be an integer >= 1, got 2.5"),
+    (0, 1, "latent dimension must be an integer >= 1, got 0"),
+    (2, True, "seed must be an integer >= 0, got True"),
+    (2, 1.5, "seed must be an integer >= 0, got 1.5"),
+])
+def test_initial_latent_refuses_a_dimension_or_seed_that_is_not_a_count(dim, seed, refused):
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        sample_initial_latent(dim, seed)
+
+
+def test_initial_latent_takes_integral_floats():
+    assert np.array_equal(sample_initial_latent(3.0, 2.0), sample_initial_latent(3, 2))
+
+
 def test_oracle_run_checks_every_pass():
     spec = FunctionFamily(channels=(PolynomialChannel((1.0, -0.5)), ExponentialChannel(0.5, 1000.0)))
     # 0.5 * exp(1000 t) overflows from t = 0.75 on, step 16 of 20
@@ -758,22 +815,41 @@ def test_planned_run_matches_the_stepwise_run(
         assert np.max(np.abs(run.states - states)) <= scale
 
 
+def assert_same_operand(got, want, base):
+    """Two stretch operands bitwise equal, got a view of base: the plan holds no second copy of it."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, base)
+
+
 def assert_same_plan(plan, reference):
-    """Every field of two plans equal, the floats bitwise."""
+    """Every field of two plans equal, the floats bitwise, and each stretch's run operands views of its arrays."""
     assert np.array_equal(plan.times, reference.times)
     assert np.array_equal(plan.increments, reference.increments)
     assert plan.flags == reference.flags
     assert plan.n_rows == reference.n_rows
+    assert plan.lengths == reference.lengths == tuple(sorted({s.stop - s.start for s in plan.stretches.values()}))
+    widths = {s.w.shape[3] for s in plan.stretches.values() if s.w is not None}
+    assert plan.widths == reference.widths == tuple(sorted(widths))
     assert list(plan.stretches) == list(reference.stretches)
     for got, want in zip(plan.stretches.values(), reference.stretches.values()):
         assert (got.start, got.stop, got.lo, got.hi) == (want.start, want.stop, want.lo, want.hi)
         assert got.fresh == want.fresh
         assert got.weights.shape == want.weights.shape
         assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.reads == want.reads == plan.n_coef + got.hi - got.lo
+        assert_same_operand(got.increments, want.increments, plan.increments)
+        assert got.increments.shape == (got.stop - got.start, 1)
         assert (got.fold is None) == (want.fold is None)
         if got.fold is not None:
             assert got.fold.shape == want.fold.shape
             assert got.fold.tobytes() == want.fold.tobytes()
+            assert_same_operand(got.fold_t, want.fold_t, got.fold)
+            assert np.array_equal(got.fold_t, got.fold.T)
+            assert_same_operand(got.w, want.w, got.weights)
+            assert got.w.shape == (got.stop - got.start, 1, 1, got.weights.shape[1])
+        else:
+            assert got.fold_t is None and got.w is None
 
 
 @settings(max_examples=200, deadline=None)
