@@ -5,8 +5,11 @@ The schema is derived from the dataclass fields: every init field is a key
 value is coerced by its field's annotation.  Denoiser specs and channels are
 tagged unions, selected by their "kind" and "type" keys.  Unknown keys are
 rejected with the offending key named and its dotted path, so a typo like
-"lamda" fails loudly instead of silently using a default; every invalid value
-is a ConfigError naming its key or section.
+"lamda" fails loudly instead of silently using a default; so is a key written
+twice in one JSON object, which json would otherwise settle silently on its
+last value, and a seed listed twice, which would run and average one seed
+as if it were two.  Every invalid value is a ConfigError naming its key or
+section.
 """
 
 from __future__ import annotations
@@ -52,7 +55,11 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be a non-empty list")
         # each as an int, so a config dumps only what load_config reads back
-        object.__setattr__(self, "seeds", tuple(_count(seed, "seed") for seed in self.seeds))
+        seeds = tuple(_count(seed, "seed") for seed in self.seeds)
+        repeated = [seed for seed in seeds if seeds.count(seed) > 1]
+        if repeated:
+            raise ValueError(f"seeds must be distinct, got {repeated[0]} more than once")
+        object.__setattr__(self, "seeds", seeds)
         checkpoints = tuple(_count(step, "checkpoint", least=1) for step in self.checkpoints)
         object.__setattr__(self, "checkpoints", checkpoints)
         for step in checkpoints:
@@ -188,10 +195,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return _parse(ExperimentConfig, raw, "config")
 
 
+def _unique_keys(pairs: list, path: str) -> dict:
+    """A JSON object's (key, value) pairs as a dict, refusing a key that comes twice."""
+    keys = set()
+    for key, _ in pairs:
+        if key in keys:
+            raise ConfigError(f"duplicate key {key!r} in {path}")
+        keys.add(key)
+    return dict(pairs)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:

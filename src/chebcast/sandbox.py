@@ -336,8 +336,10 @@ class Stretch:
     derives none of them: reads, the store rows it reads (n_coef + hi - lo),
     and, as views of its own arrays or of its plan's, the fold's transpose
     fold_t and w, the weights in the (stop - start, 1, 1, m) shape of the
-    stacked forecast, for a spectral stretch, and increments, its steps'
-    Euler increments as a column, which ForecastPlan.laid_out sets.
+    stacked forecast, for a spectral stretch, and increments, the Euler
+    increments of step start - 1, the pass before it, and of its own steps,
+    as a column, which ForecastPlan.laid_out sets: a run takes that pass's
+    Euler step in the stretch's running sum.
     """
 
     start: int
@@ -350,7 +352,7 @@ class Stretch:
     reads: int = field(init=False)
     fold_t: np.ndarray | None = field(init=False)
     w: np.ndarray | None = field(init=False)
-    increments: np.ndarray | None = field(init=False, default=None)  # (stop - start, 1)
+    increments: np.ndarray | None = field(init=False, default=None)  # (stop - start + 1, 1), from step start - 1
 
     def __post_init__(self):
         spectral = self.fold is not None
@@ -423,11 +425,13 @@ class ForecastPlan:
     step j, a run copies the row slices moves[j], in order: they carry the
     passes a later stretch reads again to where it reads them (_lay_out).
     Each stretch carries the operands a run takes with it, as views of its
-    own arrays and of the plan's increments, so a run derives none.
+    own arrays and of the plan's increments, so a run derives none; the
+    passes read their times from step_times, Python floats made once here.
     """
 
     times: np.ndarray       # (N,) t_j = (j-1)/N
     increments: np.ndarray  # (N,) Euler step lengths: (t_j + 1/N) - t_j, and 1 - t_N at the last step
+    step_times: tuple[float, ...]  # (N,) the times as Python floats, each bitwise its entry of times
     flags: tuple[str, ...]
     stretches: dict[int, Stretch]  # keyed by their first step
     n_coef: int  # rows of Q^T H above the passes: degree + 1 for the spectral kind, else 0
@@ -441,17 +445,20 @@ class ForecastPlan:
     def laid_out(cls, times, increments, flags, stretches: list[Stretch], n_coef: int) -> ForecastPlan:
         """The plan of these stretches, in step order, with the pass store laid out for them (_lay_out).
 
-        Each stretch takes its column of the increments here, a view of them,
-        and the plan the distinct shapes of its stretches' operands, for which
-        a run makes the views of its own arrays that stretches share.
+        Each stretch takes its column of the increments here, a view of them
+        from the pass before it (every stretch follows a pass) to its last
+        step, and the plan the distinct shapes of its stretches' operands,
+        for which a run makes the views of its own arrays that stretches
+        share.  The step times are made Python floats here, once a plan,
+        where a run would make them on every call.
         """
         pass_rows, moves, n_rows = _lay_out(stretches, flags.count("actual"), n_coef)
         for s in stretches:
-            object.__setattr__(s, "increments", increments[s.start:s.stop, None])
+            object.__setattr__(s, "increments", increments[s.start - 1:s.stop, None])
         lengths = sorted({s.stop - s.start for s in stretches})
         widths = sorted({s.weights.shape[1] for s in stretches if s.fold is not None})
-        return cls(times, increments, flags, {s.start: s for s in stretches}, n_coef, pass_rows, moves, n_rows,
-                   tuple(lengths), tuple(widths))
+        return cls(times, increments, tuple(times.tolist()), flags, {s.start: s for s in stretches}, n_coef,
+                   pass_rows, moves, n_rows, tuple(lengths), tuple(widths))
 
 
 def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:
@@ -572,26 +579,30 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
 
     Step j (1-based) evaluates the drift at t_j = (j-1)/N and advances the
     state to t_j + 1/N.  The run walks config.plan: an actual step evaluates
-    the denoiser, writes its feature once into the pass store, at the row
-    the plan laid out for it, and takes the Euler step; a stretch of
-    skipped steps is one product of its planned weights with its passes,
-    read in place from the store, and its states one cumulative sum of its
-    planned Euler increments, made in place in the states.  After it, the
-    stretch's planned slice moves carry the passes a later stretch reads
-    again.  A spectral stretch writes only into arrays made once a run, and
-    makes no numpy call a step: one stacked product through the planned
-    fold of its passes under every block's carried Q^T H writes the new
-    Q^T H over the old (numpy buffers that overlap), and one stacked product
-    forecasts every step and block as w @ Q^T H.  Each slice of either is
-    its own 2-D product over a C-contiguous operand, so the run matches
-    observe/predict bitwise.  The plan carries each stretch's operands (see
-    Stretch), and the views of the run's own arrays that stretches share
-    are made once, before the loop, so a stretch costs its numpy calls and
-    derives no view of its own.  The oracle kind's plan makes every step an
-    actual pass, the reference trajectory for RMSE comparisons.  A
-    non-finite initial latent is a ValueError; a non-finite feature at any
-    actual pass, the oracle's included, raises SamplerError naming the
-    run's kind, the step and its time.
+    the denoiser, at the step time the plan holds as a Python float, writes
+    its feature once into the pass store, at the row the plan laid out for it,
+    and takes the Euler step, unless a stretch follows it; a stretch of
+    skipped steps is one product of its planned weights with its passes, read
+    in place from the store.  Its states, and the state of the pass before it,
+    are one running sum of its planned Euler increments times their features,
+    made in place in the states from the state before that pass: the stepwise
+    run's multiplies and adds, in its order.  A one-step stretch adds twice, a
+    longer one accumulates from the row above the pass (after the first pass,
+    from no row: it adds the initial latent first).  After it, the stretch's
+    planned slice moves carry the passes a later stretch reads again.  A
+    spectral stretch writes only into arrays made once a run, and makes no
+    numpy call a step: one stacked product through the planned fold of its
+    passes under every block's carried Q^T H writes the new Q^T H over the old
+    (numpy buffers that overlap), and one stacked product forecasts every step
+    and block as w @ Q^T H.  Each slice of either is its own 2-D product over
+    a C-contiguous operand, so the run matches observe/predict bitwise.  The
+    plan carries each stretch's operands (see Stretch), and the views of the
+    run's own arrays that stretches share are made once, before the loop, so a
+    stretch costs its numpy calls and derives no view of its own.  The oracle
+    kind's plan makes every step an actual pass, the reference trajectory for
+    RMSE comparisons.  A non-finite initial latent is a ValueError; a
+    non-finite feature at any actual pass, the oracle's included, raises
+    SamplerError naming the run's kind, the step and its time.
 
     Last-block caching writes each pass's output feature h into its store
     row.  Per-block caching (block_stack only) writes every block's residual
@@ -614,7 +625,7 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     n_blocks = spec.n_blocks if per_block else 1
 
     n = config.n_steps
-    times, increments = plan.times.tolist(), plan.increments
+    times, increments = plan.step_times, plan.increments
     stretches, pass_rows, moves, n_coef = plan.stretches, plan.pass_rows, plan.moves, plan.n_coef
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
@@ -631,8 +642,8 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     else:
         forecasts = features[:, None, None]
     k = j = 0
+    stretch = None  # step 1 is always a pass
     while j < n:
-        stretch = stretches.get(j)
         if stretch is None:
             t = times[j]
             target = store_rows[pass_rows[k]]
@@ -647,10 +658,11 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
                 raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
                                    f"feature at t={t:g} has non-finite entries")
             k += 1
-            h = features[j]
-            x = x + increments[j] * h
-            states[j] = x
             j += 1
+            stretch = stretches.get(j)
+            if stretch is None:  # else the stretch after this pass takes its Euler step
+                x = x + increments[j - 1] * features[j - 1]
+                states[j - 1] = x
             continue
         stop = stretch.stop
         H = features[j:stop]
@@ -673,13 +685,20 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         if moves:
             for source, destination in moves.get(j, ()):
                 store[:, destination] = store[:, source]
-        # the running sum adds each step to the state in turn, as the actual steps do
-        steps = np.multiply(stretch.increments, H, out=states[j:stop])
-        steps[0] += x
-        if stop - j > 1:
+        # the Euler steps of the pass before the stretch and of its steps, each added to the state in turn, as
+        # the stepwise run adds them, from x, the state before that pass
+        steps = np.multiply(stretch.increments, features[j - 1:stop], out=states[j - 1:stop])
+        if stop - j == 1:  # two adds; an accumulate along the rows is slower on wide ones
+            steps[0] += x
+            steps[1] += steps[0]
+        elif j > 1:  # x is the row above, so the sum starts from it
+            np.add.accumulate(states[j - 2:stop], axis=0, out=states[j - 2:stop])
+        else:  # the pass is step 1: x is the initial latent, in no row
+            steps[0] += x
             np.add.accumulate(steps, axis=0, out=steps)
         x = states[stop - 1]
         j = stop
+        stretch = None  # a pass or the end follows every stretch
 
     return TrajectoryRecord(
         times=plan.times.copy(),

@@ -288,6 +288,39 @@ def test_load_config_non_object_root(tmp_path):
         load_config(str(path))
 
 
+# (a line of the gate-9 config file, a line written after it with the same key, the key)
+DUPLICATED = {
+    "nested": ('    "lambda": 0.1,\n', '    "lambda": 10.0,\n', "lambda"),  # json kept the last: lambda = 10.0
+    "top-level": ('  "output_dir": "chebcast_out",\n', '  "output_dir": "elsewhere",\n', "output_dir"),
+}
+
+
+def duplicated_config(tmp_path, case):
+    """The gate-9 config file with one key written twice in one object."""
+    line, again, _ = DUPLICATED[case]
+    text = (DATA / "gate9_config.json").read_text()
+    assert text.count(line) == 1
+    path = tmp_path / "config.json"
+    path.write_text(text.replace(line, line + again))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATED))
+def test_load_config_refuses_a_key_written_twice(tmp_path, case):
+    path = duplicated_config(tmp_path, case)
+    with pytest.raises(ConfigError, match=f"^duplicate key '{DUPLICATED[case][2]}' in "):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATED))
+def test_cli_simulate_key_written_twice_exit_code(tmp_path, case):
+    path = duplicated_config(tmp_path, case)
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: duplicate key '{DUPLICATED[case][2]}' in {path}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bounds_all_passes(tmp_path):
     out = tmp_path / "all.json"
     proc = run_cli("bounds", "all", "--output", str(out))
@@ -321,6 +354,7 @@ INVALID = {
     "non-integer seed": (None, "seeds", ["x"], "seeds"),
     "fractional seed": (None, "seeds", [1.5], "seeds: expected an integer, got 1.5"),
     "negative seed": (None, "seeds", [-1], "invalid config: seed must be an integer >= 0, got -1"),
+    "repeated seed": (None, "seeds", [7051, 7093, 7051], "invalid config: seeds must be distinct, got 7051 more than once"),
     "zero checkpoint": (None, "checkpoints", [0, 50], "invalid config: checkpoint must be an integer >= 1, got 0"),
     "boolean seed": (None, "seeds", [True], "seeds: expected an integer, got True"),
     "fractional degree": ("forecaster", "degree", 4.5, "forecaster.degree: expected an integer"),
@@ -555,6 +589,16 @@ def test_cli_simulate_negative_seed_exit_code(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_repeated_seed_exit_code(tmp_path):
+    """A seed listed twice ran once ("wrote 1 runs") and its summary averaged over that one seed."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(invalid_raw("repeated seed")))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid config: seeds must be distinct, got 7051 more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "field, values",
     [("seeds", (1.5,)), ("seeds", (True,)), ("seeds", (-1,)), ("checkpoints", (10.5, 50)), ("checkpoints", (True, 50))],
@@ -691,7 +735,7 @@ def configs(draw):
         spec=spec,
         schedule=schedule,
         forecaster=forecaster,
-        seeds=tuple(draw(st.lists(seeds_st, min_size=1, max_size=3))),
+        seeds=tuple(draw(st.lists(seeds_st, min_size=1, max_size=3, unique=True))),  # a repeated seed is refused
         output_dir=draw(st.text("abc/_-", min_size=1, max_size=8)),
         checkpoints=draw(st.none() | st.lists(steps, max_size=4).map(tuple)),
     )

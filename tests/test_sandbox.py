@@ -460,6 +460,26 @@ def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer():
     assert peak <= arrays + 12 * 2**10
 
 
+@pytest.mark.parametrize("kind", ["oracle", "naive", "taylor", "spectrum"])
+def test_run_memory_does_not_grow_with_the_steps_beyond_its_outputs(kind):
+    """A run allocates its states, features and times, and only a few KiB besides, however many steps it takes.
+
+    The plan holds the step times as Python floats: a list of them made a
+    run would add ~32 bytes a step (64 KB here).
+    """
+    spec = FunctionFamily(channels=(SineChannel(amplitude=0.5, frequency=1.5),))
+    config = SolverConfig(uniform_schedule(2000, 1 if kind == "oracle" else 2, 5), ForecasterChoice(kind=kind))
+    x0 = sample_initial_latent(spec.dim, 1)
+    run_sampler(spec, config, x0)
+    tracemalloc.start()
+    try:
+        run = run_sampler(spec, config, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= run.states.nbytes + run.features.nbytes + run.times.nbytes + 8 * 2**10
+
+
 def test_rmse_identical_runs_is_zero():
     spec = single_gaussian(0.2, 1.1, 3)
     x0 = sample_initial_latent(3, 1)
@@ -782,6 +802,17 @@ def stepwise_reference(spec, schedule, choice, x0):
 # eight per-block forecasts of width 1: a pairwise sum over the blocks differs from adding them in block order
 @example(kind="spectrum", order=1, degree=4, lam=1e-3, window=None, per_block=True, mixture=False,
          n_steps=40, interval=3, warmup=4, alpha=0.5, width=1, n_blocks=8)
+# the stretch after each pass takes the pass's Euler step: one-step stretches (two adds), last-block and per-block
+@example(kind="naive", order=1, degree=4, lam=0.1, window=None, per_block=False, mixture=True,
+         n_steps=20, interval=2, warmup=3, alpha=0.0, width=3, n_blocks=2)
+@example(kind="spectrum", order=1, degree=3, lam=0.1, window=None, per_block=True, mixture=False,
+         n_steps=20, interval=2, warmup=3, alpha=0.0, width=4, n_blocks=3)
+# multi-step stretches after passes at steps 3, 7, ...: the running sum starts from the state stored above the pass
+@example(kind="spectrum", order=1, degree=2, lam=0.1, window=None, per_block=False, mixture=True,
+         n_steps=30, interval=4, warmup=3, alpha=0.0, width=3, n_blocks=2)
+# a multi-step stretch right after step 1: no state row above the pass, so the sum adds the initial latent first
+@example(kind="spectrum", order=1, degree=2, lam=0.1, window=None, per_block=False, mixture=True,
+         n_steps=20, interval=3, warmup=1, alpha=0.0, width=3, n_blocks=2)
 def test_planned_run_matches_the_stepwise_run(
     kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha, width, n_blocks
 ):
@@ -826,6 +857,9 @@ def assert_same_plan(plan, reference):
     """Every field of two plans equal, the floats bitwise, and each stretch's run operands views of its arrays."""
     assert np.array_equal(plan.times, reference.times)
     assert np.array_equal(plan.increments, reference.increments)
+    assert type(plan.step_times) is tuple and all(type(t) is float for t in plan.step_times)
+    assert np.array(plan.step_times).tobytes() == plan.times.tobytes() == reference.times.tobytes()
+    assert plan.step_times == reference.step_times
     assert plan.flags == reference.flags
     assert plan.n_rows == reference.n_rows
     assert plan.lengths == reference.lengths == tuple(sorted({s.stop - s.start for s in plan.stretches.values()}))
@@ -838,8 +872,11 @@ def assert_same_plan(plan, reference):
         assert got.weights.shape == want.weights.shape
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.reads == want.reads == plan.n_coef + got.hi - got.lo
+        # the Euler increments of the pass before the stretch and of its steps, the very view of the plan's
         assert_same_operand(got.increments, want.increments, plan.increments)
-        assert got.increments.shape == (got.stop - got.start, 1)
+        assert got.increments.shape == (got.stop - got.start + 1, 1)
+        column = plan.increments[got.start - 1 : got.stop, None]
+        assert got.increments.__array_interface__ == column.__array_interface__
         assert (got.fold is None) == (want.fold is None)
         if got.fold is not None:
             assert got.fold.shape == want.fold.shape
