@@ -15,20 +15,21 @@ from .bounds import (
     verify_spectral_bound,
     verify_taylor_attainment,
 )
-from .forecasters import spectral_weights, taylor_weights
-from .ridge import RidgeFitError, leading_triangle, min_singular
-from .sandbox import (
+from .denoisers import (
     BlockStack,
     ExponentialChannel,
-    ForecasterChoice,
     FunctionFamily,
     GaussianMixtureFlow,
     PolynomialChannel,
-    SamplerError,
     SineChannel,
-    SolverConfig,
-    TrajectoryRecord,
     evaluate_denoiser,
+)
+from .forecasters import spectral_weights, taylor_weights
+from .plan import ForecasterChoice, SolverConfig
+from .ridge import RidgeFitError, leading_triangle, min_singular
+from .sandbox import (
+    SamplerError,
+    TrajectoryRecord,
     oracle_run,
     rmse_vs_oracle,
     run_sampler,

@@ -35,6 +35,16 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _finite(values, what: str) -> None:
+    """Refuse a non-number, a NaN or an infinity among values (a number or an array of them), naming what they are."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":  # a bool, a string or any other object would be converted or fail to compare
+        raise ValueError(f"{what} must be numbers, got {values!r}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"{what} must be finite, got {float(array[~finite].flat[0])}")
+
+
 def project_time(t: float) -> float:
     """Map a diffusion timestep t in [0, 1] to tau = 2t - 1 in [-1, 1]."""
     t = float(t)

@@ -7,9 +7,10 @@ tagged unions, selected by their "kind" and "type" keys.  Unknown keys are
 rejected with the offending key named and its dotted path, so a typo like
 "lamda" fails loudly instead of silently using a default; so is a key written
 twice in one JSON object, which json would otherwise settle silently on its
-last value, and a seed listed twice, which would run and average one seed
-as if it were two.  Every invalid value is a ConfigError naming its key or
-section.
+last value, a seed listed twice, which would run and average one seed as
+if it were two, and a checkpoint listed twice, which would report its RMSE
+twice per seed (checkpoints may come in any order).  Every invalid value is
+a ConfigError naming its key or section.
 """
 
 from __future__ import annotations
@@ -19,18 +20,17 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .sandbox import (
+from .basis import _count
+from .denoisers import (
     BlockStack,
     DenoiserSpec,
     ExponentialChannel,
-    ForecasterChoice,
     FunctionFamily,
     GaussianMixtureFlow,
     PolynomialChannel,
     SineChannel,
-    SolverConfig,
 )
-from .basis import _count
+from .plan import ForecasterChoice, SolverConfig
 from .schedule import ScheduleParams, adaptive_schedule
 
 
@@ -61,6 +61,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be distinct, got {repeated[0]} more than once")
         object.__setattr__(self, "seeds", seeds)
         checkpoints = tuple(_count(step, "checkpoint", least=1) for step in self.checkpoints)
+        repeated = [step for step in checkpoints if checkpoints.count(step) > 1]
+        if repeated:
+            raise ValueError(f"checkpoints must be distinct, got {repeated[0]} more than once")
         object.__setattr__(self, "checkpoints", checkpoints)
         for step in checkpoints:
             if step > n:

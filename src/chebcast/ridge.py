@@ -64,7 +64,7 @@ def rotate_features(q: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     2-D product, bitwise the call on that slice alone as long as the slice
     is C-contiguous.  A sampling run makes this product through each
     stretch's planned transpose of q, in place over its carried Q^T H
-    (chebcast.sandbox.Stretch).
+    (chebcast.plan.Stretch).
     """
     return np.matmul(q.T, stacked)
 

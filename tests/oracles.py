@@ -26,7 +26,7 @@ import numpy as np
 from chebcast.basis import basis_matrix, basis_row, project_time
 from chebcast.forecasters import spectral_weights
 from chebcast.ridge import DEFAULT_LAMBDA, RidgeFactor, RidgeFitError, fold_rows, leading_triangle, rotate_features
-from chebcast.sandbox import ForecastPlan, Stretch
+from chebcast.plan import ForecastPlan, Stretch
 
 
 def gauss_solve(a, b):
@@ -489,7 +489,7 @@ def reference_plan(schedule, choice):
     vector e_k at the k-th pass makes each prediction that step's weight
     row.  The spectral forecaster observes empty features instead: its fits'
     folds and forecast weights w depend on the times alone.  This is the
-    plan chebcast.sandbox.plan_forecasts computes from the times; it holds
+    plan chebcast.plan.plan_forecasts computes from the times; it holds
     NFE unit vectors of length NFE.  A forecast the forecaster cannot make
     refuses the schedule, as forecast_refused.  The pass store is laid out
     from the stretches' reads alone, through the plan's own laid_out; the

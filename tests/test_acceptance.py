@@ -34,13 +34,9 @@ from chebcast import (
     verify_spectral_bound,
     verify_taylor_attainment,
 )
-from chebcast.sandbox import (
-    BENCHMARK_SEEDS,
-    FunctionFamily,
-    PolynomialChannel,
-    benchmark_mixture,
-    plan_forecasts,
-)
+from chebcast.denoisers import FunctionFamily, PolynomialChannel
+from chebcast.plan import plan_forecasts
+from chebcast.sandbox import BENCHMARK_SEEDS, benchmark_mixture
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
 from oracles import brute_ridge, ridge_coefficients, ridge_fit

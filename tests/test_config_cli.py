@@ -20,16 +20,15 @@ from chebcast.config import (
     load_config,
     parse_config,
 )
-from chebcast.sandbox import (
-    BENCHMARK_SEEDS,
+from chebcast.denoisers import (
     BlockStack,
     ExponentialChannel,
-    ForecasterChoice,
     FunctionFamily,
     PolynomialChannel,
     SineChannel,
-    benchmark_mixture,
 )
+from chebcast.plan import ForecasterChoice
+from chebcast.sandbox import BENCHMARK_SEEDS, benchmark_mixture
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
 from oracles import TaylorForecaster
@@ -356,6 +355,9 @@ INVALID = {
     "negative seed": (None, "seeds", [-1], "invalid config: seed must be an integer >= 0, got -1"),
     "repeated seed": (None, "seeds", [7051, 7093, 7051], "invalid config: seeds must be distinct, got 7051 more than once"),
     "zero checkpoint": (None, "checkpoints", [0, 50], "invalid config: checkpoint must be an integer >= 1, got 0"),
+    "repeated checkpoint": (
+        None, "checkpoints", [50, 10, 50], "invalid config: checkpoints must be distinct, got 50 more than once",
+    ),
     "boolean seed": (None, "seeds", [True], "seeds: expected an integer, got True"),
     "fractional degree": ("forecaster", "degree", 4.5, "forecaster.degree: expected an integer"),
     "fractional step count": ("schedule", "n_steps", 50.9, "schedule.n_steps: expected an integer"),
@@ -589,13 +591,15 @@ def test_cli_simulate_negative_seed_exit_code(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_simulate_repeated_seed_exit_code(tmp_path):
-    """A seed listed twice ran once ("wrote 1 runs") and its summary averaged over that one seed."""
+@pytest.mark.parametrize("case", ["repeated seed", "repeated checkpoint"])
+def test_cli_simulate_repeated_value_exit_code(tmp_path, case):
+    """A seed listed twice ran once ("wrote 1 runs") and its summary averaged over that one seed; a checkpoint
+    listed twice was reported, with its RMSE, twice per seed."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(invalid_raw("repeated seed")))
+    path.write_text(json.dumps(invalid_raw(case)))
     proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
     assert proc.returncode == 2
-    assert proc.stderr == "error: invalid config: seeds must be distinct, got 7051 more than once\n"
+    assert proc.stderr == f"error: {INVALID[case][3]}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -737,7 +741,7 @@ def configs(draw):
         forecaster=forecaster,
         seeds=tuple(draw(st.lists(seeds_st, min_size=1, max_size=3, unique=True))),  # a repeated seed is refused
         output_dir=draw(st.text("abc/_-", min_size=1, max_size=8)),
-        checkpoints=draw(st.none() | st.lists(steps, max_size=4).map(tuple)),
+        checkpoints=draw(st.none() | st.lists(steps, max_size=4, unique=True).map(tuple)),  # so is a repeated one
     )
 
 

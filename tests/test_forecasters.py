@@ -24,7 +24,8 @@ from chebcast import (
     taylor_weights,
     uniform_schedule,
 )
-from chebcast.sandbox import PolynomialChannel, plan_forecasts
+from chebcast.denoisers import PolynomialChannel
+from chebcast.plan import plan_forecasts
 
 from oracles import (
     FeatureCache,

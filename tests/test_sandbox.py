@@ -31,7 +31,7 @@ from chebcast import (
     uniform_schedule,
 )
 from chebcast.config import load_config
-from chebcast.sandbox import plan_forecasts
+from chebcast.plan import plan_forecasts
 from chebcast.schedule import ScheduleParams, adaptive_schedule
 
 from oracles import (
@@ -342,6 +342,7 @@ def test_non_finite_feature_fails_at_its_step(scope):
 
 
 def test_oracle_run_builds_its_config_once_per_step_count(monkeypatch):
+    import chebcast.plan as plan
     import chebcast.sandbox as sandbox
 
     built = []
@@ -352,7 +353,7 @@ def test_oracle_run_builds_its_config_once_per_step_count(monkeypatch):
 
     spec = single_gaussian(0.2, 1.1, 3)
     sandbox._oracle_config.cache_clear()
-    monkeypatch.setattr(sandbox, "plan_forecasts", counting_plan)
+    monkeypatch.setattr(plan, "plan_forecasts", counting_plan)
     first, second = oracle_run(spec, 17, np.zeros(3)), oracle_run(spec, 17.0, np.ones(3))
     assert built == [17]
     assert first.flags == second.flags == ("actual",) * 17
@@ -659,18 +660,18 @@ def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
 
 def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeypatch):
     """Planning folds passes with no forecast between them together; no forecast solves for C."""
+    import chebcast.plan as plan
     import chebcast.ridge as ridge
-    import chebcast.sandbox as sandbox
 
     config = load_config(str(Path(__file__).parent / "data" / "gate9_config.json"))
     rows = []
-    real_fold = sandbox.fold_rows
+    real_fold = plan.fold_rows
 
     def counting_fold(factor, new_rows):
         rows.append(new_rows.shape[0])
         return real_fold(factor, new_rows)
 
-    monkeypatch.setattr(sandbox, "fold_rows", counting_fold)
+    monkeypatch.setattr(plan, "fold_rows", counting_fold)
     solver = SolverConfig(adaptive_schedule(config.schedule), config.forecaster)
     # schedule 1,2,3,4,5,7,12,20,31,45: the first forecast (step 6) reads five passes
     assert rows == [5, 1, 1, 1, 1, 1]
@@ -707,7 +708,7 @@ def test_plan_folds_the_design_alone_and_never_carries_features(monkeypatch, cac
 
 
 def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
-    import chebcast.sandbox as sandbox
+    import chebcast.plan as plan
 
     spec = BlockStack(n_blocks=2, width=6, seed=3)
     schedule = adaptive_schedule(ScheduleParams(40, 2, 4, 1.0))
@@ -726,7 +727,7 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
 
     # every name the plan computes its weights and folds through
     for name in ("basis_matrix", "fold_rows", "leading_triangle", "spectral_weights", "taylor_weights"):
-        monkeypatch.setattr(sandbox, name, forbidden)
+        monkeypatch.setattr(plan, name, forbidden)
     for config in configs:
         run = run_sampler(spec, config, sample_initial_latent(spec.dim, 1))
         assert "forecast" in run.flags
