@@ -10,9 +10,9 @@ Three denoiser families act as ground-truth oracles at desk scale:
   independent of the state; useful for exactness and bound checks.
 * block_stack -- a stack of smooth residual blocks (fixed random rotation
   plus a tanh nonlinearity) over a polynomial base feature, for comparing
-  last-block against per-block caching.  Per-block caching forecasts every
-  block's residual y_b - y_(b-1) through one shared fit and adds back the
-  base, which needs no network pass.
+  last-block against per-block caching.  Per-block caching, with any
+  forecaster kind, forecasts every block's residual y_b - y_(b-1) through
+  one shared plan and adds back the base, which needs no network pass.
 
 In every family the score fed to the solver is the last-block feature
 itself.

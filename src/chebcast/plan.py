@@ -38,8 +38,6 @@ class ForecasterChoice:
             raise ValueError(f"forecaster kind must be one of {FORECASTER_KINDS}, got {self.kind!r}")
         if self.cache_scope not in CACHE_SCOPES:
             raise ValueError(f"cache scope must be one of {CACHE_SCOPES}, got {self.cache_scope!r}")
-        if self.cache_scope == "per_block" and self.kind != "spectrum":
-            raise ValueError("per-block caching is only implemented for the spectral forecaster")
         order, degree = _count(self.order, "taylor order"), _count(self.degree, "basis degree")
         lam = _real(self.lam, "regularization strength")
         if not (math.isfinite(lam) and lam >= 0.0):
@@ -57,23 +55,22 @@ class Stretch:
 
     A run reads passes lo..hi-1 in place, in the pass rows of its store
     (ForecastPlan): at their first hi - lo rows, directly under every
-    block's Q^T H.  A Taylor or naive stretch weighs the newest order+1
-    passes.  A spectral stretch (fold set) instead folds passes[lo:hi] into
-    the fit's Q^T H with fold, the orthonormal factor of the fit's QR
+    block's Q^T H.  A spectral stretch (fold set) first folds passes[lo:hi]
+    into the fit's Q^T H with fold, the orthonormal factor of the fit's QR
     update, starting from zeros when fresh and else from the previous
-    spectral stretch's Q^T H.  Each of its features is its row of weights,
-    the forecast's w, times the leading rows of that Q^T H: w @ Q^T H for
-    each step and block, as the spectral forecast is defined, though a run
-    makes them all in one stacked product.
+    spectral stretch's Q^T H.  Each feature of any stretch is its row of
+    weights, the forecast's w, times the leading rows of each block's store:
+    w @ Q^T H, or, with no Q^T H, w @ the newest order+1 passes for Taylor or
+    naive reuse.  A run makes them all in one stacked product.
 
     The stretch also carries the operands a run takes, so that a run
     derives none of them: reads, the store rows it reads (n_coef + hi - lo),
     and, as views of its own arrays or of its plan's, the fold's transpose
-    fold_t and w, the weights in the (stop - start, 1, 1, m) shape of the
-    stacked forecast, for a spectral stretch, and increments, the Euler
-    increments of step start - 1, the pass before it, and of its own steps,
-    as a column, which ForecastPlan.laid_out sets: a run takes that pass's
-    Euler step in the stretch's running sum.
+    fold_t for a spectral stretch, w, the weights in the (stop - start, 1, 1,
+    m) shape of the stacked forecast, and increments, the Euler increments of
+    step start - 1, the pass before it, and of its own steps, as a column,
+    which ForecastPlan.laid_out sets: a run takes that pass's Euler step in
+    the stretch's running sum.
     """
 
     start: int
@@ -85,14 +82,14 @@ class Stretch:
     fresh: bool = False
     reads: int = field(init=False)
     fold_t: np.ndarray | None = field(init=False)
-    w: np.ndarray | None = field(init=False)
+    w: np.ndarray = field(init=False)
     increments: np.ndarray | None = field(init=False, default=None)  # (stop - start + 1, 1), from step start - 1
 
     def __post_init__(self):
         spectral = self.fold is not None
         object.__setattr__(self, "reads", self.fold.shape[0] if spectral else self.hi - self.lo)
         object.__setattr__(self, "fold_t", self.fold.T if spectral else None)
-        object.__setattr__(self, "w", self.weights[:, None, None, :] if spectral else None)
+        object.__setattr__(self, "w", self.weights[:, None, None, :])
 
 
 Moves = tuple[tuple[slice, slice], ...]  # (source, destination) row slices of the pass store, copied in order
@@ -173,7 +170,7 @@ class ForecastPlan:
     moves: dict[int, Moves]  # keyed by the first step of the stretch they follow, if it moves any pass
     n_rows: int  # pass rows of the store: the most a stretch reads, then any parked passes; at least 1
     lengths: tuple[int, ...]  # the distinct stretch lengths, ascending
-    widths: tuple[int, ...]  # the distinct leading rows m of Q^T H that a spectral stretch's w weighs, ascending
+    widths: tuple[int, ...]  # the distinct leading store rows m that a stretch's w weighs, ascending
 
     @classmethod
     def laid_out(cls, times, increments, flags, stretches: list[Stretch], n_coef: int) -> ForecastPlan:
@@ -190,7 +187,7 @@ class ForecastPlan:
         for s in stretches:
             object.__setattr__(s, "increments", increments[s.start - 1:s.stop, None])
         lengths = sorted({s.stop - s.start for s in stretches})
-        widths = sorted({s.weights.shape[1] for s in stretches if s.fold is not None})
+        widths = sorted({s.weights.shape[1] for s in stretches})
         return cls(times, increments, tuple(times.tolist()), flags, {s.start: s for s in stretches}, n_coef,
                    pass_rows, moves, n_rows, tuple(lengths), tuple(widths))
 

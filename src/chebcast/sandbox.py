@@ -73,12 +73,13 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     longer one accumulates from the row above the pass (after the first pass,
     from no row: it adds the initial latent first).  After it, the stretch's
     planned slice moves carry the passes a later stretch reads again.  A
-    spectral stretch writes only into arrays made once a run, and makes no
-    numpy call a step: one stacked product through the planned fold of its
-    passes under every block's carried Q^T H writes the new Q^T H over the old
-    (numpy buffers that overlap), and one stacked product forecasts every step
-    and block as w @ Q^T H.  Each slice of either is its own 2-D product over
-    a C-contiguous operand, so the run matches observe/predict bitwise.  The
+    stretch writes only into arrays made once a run, and makes no numpy call
+    a step: a spectral one's stacked product through its planned fold writes
+    every block's new Q^T H over the old (numpy buffers that overlap), and one
+    stacked product, for every kind, forecasts every step and block as w @
+    the block's leading store rows (Q^T H, or the passes for Taylor and naive
+    reuse).  Each slice of either is its own 2-D product over a C-contiguous
+    operand, so the run matches observe/predict bitwise (Taylor to rounding).  The
     plan carries each stretch's operands (see Stretch), and the views of the
     run's own arrays that stretches share are made once, before the loop, so a
     stretch costs its numpy calls and derives no view of its own.  The oracle
@@ -93,8 +94,8 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     forecasts: every step's base feature is written into the features once,
     before the loop, where an actual pass starts its stages from it and a
     stretch adds its blocks' forecasts to its rows one block at a time, in
-    block order.  Every block shares one design and lambda, so one plan
-    serves them all, and the base feature needs no network pass.
+    block order.  Any kind's weights depend on the step times alone, so one
+    plan serves every block, and the base feature needs no network pass.
     """
     started = time.perf_counter()
     plan = config.plan
@@ -115,9 +116,9 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     # every block's [Q^T H; passes], a C-contiguous slice each; numpy buffers the fold's overlap with it
     store = np.empty((n_blocks, n_coef + plan.n_rows, spec.dim))
     qth, store_rows = store[:, :n_coef], store.swapaxes(0, 1)  # store_rows[r]: row r of every block
-    # the views stretches share, made once: the leading m rows of every block's Q^T H for each m a w weighs,
-    # and the forecasts' outputs, per step and block for per-block caching, else the features as (N, 1, 1, dim)
-    leading = {m: qth[None, :, :m] for m in plan.widths}
+    # the views stretches share, made once: every block's leading m store rows (Q^T H, else passes) for each m a w
+    # weighs, and the forecasts' outputs, per step and block for per-block caching, else the features as (N, 1, 1, dim)
+    leading = {m: store[None, :, :m] for m in plan.widths}
     if per_block:
         terms = np.empty((max(plan.lengths, default=0), n_blocks, 1, spec.dim))  # a stretch's every step and block
         term_rows = {n: (terms[:n], [terms[:n, b, 0] for b in range(n_blocks)]) for n in plan.lengths}
@@ -148,23 +149,21 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
                 states[j - 1] = x
             continue
         stop = stretch.stop
-        H = features[j:stop]
-        if stretch.fold is None:  # Taylor or naive reuse, whose cache is always last-block
-            np.dot(stretch.weights, store[0, : stretch.reads], out=H)
-        else:
+        if stretch.fold is not None:  # a spectral stretch first folds its passes into the Q^T H it weighs
             if stretch.fresh:
                 qth[...] = 0.0
             # every block's fold, one 2-D product each, as rotate_features makes it
             np.matmul(stretch.fold_t, store[:, : stretch.reads], out=qth)
-            # one vector-matrix product a step and block, as each block's forecaster would predict
-            w = stretch.w
-            if per_block:  # H already holds each step's base feature
-                block_terms, blocks = term_rows[stop - j]
-                np.matmul(w, leading[w.shape[3]], out=block_terms)
-                for block in blocks:  # each block's forecast added in block order, as the forecasters sum
-                    H += block
-            else:
-                np.matmul(w, leading[w.shape[3]], out=forecasts[j:stop])
+        # one vector-matrix product a step and block, as each block's forecaster would predict
+        w = stretch.w
+        if per_block:  # the features already hold each step's base feature
+            block_terms, blocks = term_rows[stop - j]
+            np.matmul(w, leading[w.shape[3]], out=block_terms)
+            H = features[j:stop]
+            for block in blocks:  # each block's forecast added in block order, as the forecasters sum
+                H += block
+        else:
+            np.matmul(w, leading[w.shape[3]], out=forecasts[j:stop])
         if moves:
             for source, destination in moves.get(j, ()):
                 store[:, destination] = store[:, source]

@@ -213,6 +213,23 @@ def test_cli_simulate_infinite_gain_is_refused_before_any_pass(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["naive", "taylor"])
+def test_cli_simulate_per_block_local_forecaster(tmp_path, kind):
+    """Every kind caches per block: the block-stack config runs with reuse or Taylor in place of the spectral fit."""
+    raw = json.loads((DATA / "blockstack_config.json").read_text())
+    raw["forecaster"]["kind"] = kind
+    raw["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("simulate", str(path))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert sorted(summary["per_seed"]) == ["1", "2"]
+    flags = [line.split(",")[2] for line in (tmp_path / "out" / "run_seed1.csv").read_text().splitlines()
+             if line[:1].isdigit()]
+    assert "forecast" in flags
+
+
 def test_cli_simulate_unknown_key_exit_code(tmp_path):
     _, path = sample_config(tmp_path)
     raw = json.loads(path.read_text())
@@ -714,7 +731,7 @@ def schedules(draw):
 @st.composite
 def forecasters(draw, block_stack):
     kind = draw(st.sampled_from(["oracle", "naive", "taylor", "spectrum"]))
-    scopes = ["last_block", "per_block"] if kind == "spectrum" and block_stack else ["last_block"]
+    scopes = ["last_block", "per_block"] if block_stack else ["last_block"]
     return ForecasterChoice(
         kind=kind,
         order=draw(st.integers(0, 5)),

@@ -430,16 +430,20 @@ def test_a_feature_overflowing_at_a_pass_fails_at_that_step(kind):
         run_sampler(spec, config, np.zeros(2))
 
 
-def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer():
+@pytest.mark.parametrize("kind", ["naive", "taylor", "spectrum"])
+def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer(kind):
     """A per-block run holds its outputs, the pass store (the fold operand) and a stretch's forecast terms.
 
-    At a stretch numpy adds one Q^T H-sized buffer for the fold's overlap of
-    its operand; 12 KiB covers the Python objects.  A fresh (N, width) base
-    array, a second fold operand, or the last pass's stage array held
-    through the stretch would not fit; nor would a pass ring beside the store.
+    At a spectral stretch numpy adds one Q^T H-sized buffer for the fold's
+    overlap of its operand, which outweighs a pass's stage array and the two
+    rows a stage makes on its way.  A Taylor or naive store has no Q^T H
+    rows, so no fold and no buffer: its peak is at a pass.  12 KiB covers the
+    Python objects.  A fresh (N, width) base array, a second fold operand,
+    or the last pass's stage array held through a spectral stretch would not
+    fit; nor would a pass ring beside the store.
     """
     spec = BlockStack(n_blocks=4, width=256, seed=1)
-    choice = ForecasterChoice(kind="spectrum", cache_scope="per_block")
+    choice = ForecasterChoice(kind=kind, cache_scope="per_block")
     config = SolverConfig(uniform_schedule(200, 2, 5), choice)
     x0 = sample_initial_latent(spec.dim, 1)
     run_sampler(spec, config, x0)
@@ -450,13 +454,15 @@ def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer():
     finally:
         tracemalloc.stop()
     row = spec.width * 8
-    n_rows, n_coef = config.plan.n_rows, choice.degree + 1
+    n_rows, n_coef = config.plan.n_rows, config.plan.n_coef
+    assert n_coef == (choice.degree + 1 if kind == "spectrum" else 0)
     longest = max(s.stop - s.start for s in config.plan.stretches.values())
     arrays = (
         run.states.nbytes + run.features.nbytes
         + spec.n_blocks * (n_coef + n_rows) * row  # the pass store, which is the fold operand
         + longest * spec.n_blocks * row  # the forecast terms
-        + spec.n_blocks * n_coef * row  # numpy's buffer for the fold's overlap
+        # numpy's buffer for the fold's overlap, or else a pass's stages and the two rows a stage makes
+        + max(spec.n_blocks * n_coef * row, (spec.n_blocks + 1 + 2) * row)
     )
     assert peak <= arrays + 12 * 2**10
 
@@ -658,6 +664,19 @@ def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
     assert forecasts
 
 
+def test_per_block_oracle_run_is_bitwise_the_last_block_oracle_run():
+    """Every oracle step is a pass, whose stages summed from the base feature are the denoiser's output."""
+    spec = BlockStack(n_blocks=4, width=64, seed=1)
+    x0 = sample_initial_latent(spec.dim, 3)
+    config = SolverConfig(uniform_schedule(40, 1, 1), ForecasterChoice(kind="oracle", cache_scope="per_block"))
+    per = run_sampler(spec, config, x0)
+    last = oracle_run(spec, 40, x0)
+    assert per.flags == last.flags == ("actual",) * 40
+    assert per.states.tobytes() == last.states.tobytes()
+    assert per.features.tobytes() == last.features.tobytes()
+    assert per.fit_count == last.fit_count == 0
+
+
 def test_gate9_plan_folds_at_the_forecasts_and_never_solves_coefficients(monkeypatch):
     """Planning folds passes with no forecast between them together; no forecast solves for C."""
     import chebcast.plan as plan
@@ -736,9 +755,9 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
 def stepwise_reference(spec, schedule, choice, x0):
     """The sampler as one loop over the steps: observe, predict and an Euler step at each.
 
-    Per-block caching keeps one independent spectral forecaster per block, as
-    per_block_reference does.  A forecast the forecasters cannot make raises
-    forecast_refused.
+    Per-block caching keeps one independent forecaster of the kind per block,
+    as per_block_reference does for the spectral kind.  A forecast the
+    forecasters cannot make raises forecast_refused.
     """
     per_block = choice.cache_scope == "per_block"
     if choice.kind == "spectrum":
@@ -747,7 +766,10 @@ def stepwise_reference(spec, schedule, choice, x0):
             for _ in range(spec.n_blocks if per_block else 1)
         ]
     else:  # naive reuse is Taylor order 0
-        forecasters = [TaylorForecaster(order=choice.order if choice.kind == "taylor" else 0, window=choice.window)]
+        forecasters = [
+            TaylorForecaster(order=choice.order if choice.kind == "taylor" else 0, window=choice.window)
+            for _ in range(spec.n_blocks if per_block else 1)
+        ]
     n = schedule.n_steps
     dt = 1.0 / n
     x = np.asarray(x0, dtype=float)
@@ -814,10 +836,15 @@ def stepwise_reference(spec, schedule, choice, x0):
 # a multi-step stretch right after step 1: no state row above the pass, so the sum adds the initial latent first
 @example(kind="spectrum", order=1, degree=2, lam=0.1, window=None, per_block=False, mixture=True,
          n_steps=20, interval=3, warmup=1, alpha=0.0, width=3, n_blocks=2)
+# per-block reuse and Taylor: each block's newest passes weighed in place, and, for order 2 in a window of 3,
+# the two a later stretch reads again slid down under it after every stretch
+@example(kind="naive", order=1, degree=4, lam=0.1, window=None, per_block=True, mixture=False,
+         n_steps=30, interval=3, warmup=2, alpha=0.5, width=4, n_blocks=3)
+@example(kind="taylor", order=2, degree=4, lam=0.1, window=3, per_block=True, mixture=False,
+         n_steps=30, interval=3, warmup=3, alpha=0.0, width=4, n_blocks=3)
 def test_planned_run_matches_the_stepwise_run(
     kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha, width, n_blocks
 ):
-    per_block = per_block and kind == "spectrum"
     if mixture and not per_block:  # the state feeds back into every actual pass
         spec = GaussianMixtureFlow(
             weights=(0.6, 0.4), means=np.array([[1.0, -2.0, 0.5], [-1.5, 1.0, 2.0]]), variances=np.full((2, 3), 0.3)
@@ -864,7 +891,7 @@ def assert_same_plan(plan, reference):
     assert plan.flags == reference.flags
     assert plan.n_rows == reference.n_rows
     assert plan.lengths == reference.lengths == tuple(sorted({s.stop - s.start for s in plan.stretches.values()}))
-    widths = {s.w.shape[3] for s in plan.stretches.values() if s.w is not None}
+    widths = {s.w.shape[3] for s in plan.stretches.values()}
     assert plan.widths == reference.widths == tuple(sorted(widths))
     assert list(plan.stretches) == list(reference.stretches)
     for got, want in zip(plan.stretches.values(), reference.stretches.values()):
@@ -878,16 +905,15 @@ def assert_same_plan(plan, reference):
         assert got.increments.shape == (got.stop - got.start + 1, 1)
         column = plan.increments[got.start - 1 : got.stop, None]
         assert got.increments.__array_interface__ == column.__array_interface__
-        assert (got.fold is None) == (want.fold is None)
+        # every kind's forecasts are one stacked product of its w with the store's leading rows
+        assert_same_operand(got.w, want.w, got.weights)
+        assert got.w.shape == (got.stop - got.start, 1, 1, got.weights.shape[1])
+        assert (got.fold is None) == (want.fold is None) == (got.fold_t is None)
         if got.fold is not None:
             assert got.fold.shape == want.fold.shape
             assert got.fold.tobytes() == want.fold.tobytes()
             assert_same_operand(got.fold_t, want.fold_t, got.fold)
             assert np.array_equal(got.fold_t, got.fold.T)
-            assert_same_operand(got.w, want.w, got.weights)
-            assert got.w.shape == (got.stop - got.start, 1, 1, got.weights.shape[1])
-        else:
-            assert got.fold_t is None and got.w is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -1130,8 +1156,6 @@ def test_trajectory_csv_without_oracle(tmp_path):
 def test_forecaster_choice_validation():
     with pytest.raises(ValueError, match="kind"):
         ForecasterChoice(kind="magic")
-    with pytest.raises(ValueError, match="per-block"):
-        ForecasterChoice(kind="taylor", cache_scope="per_block")
     with pytest.raises(ValueError, match="order"):
         ForecasterChoice(kind="taylor", order=-1)
     with pytest.raises(ValueError, match="cache window must be an integer >= 1, got 0"):
