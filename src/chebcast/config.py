@@ -222,6 +222,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def dump_config(config: ExperimentConfig, path: str) -> None:
+    """Write config as JSON; a config with no serialized form raises ConfigError before the file is opened."""
+    text = json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -89,11 +89,14 @@ class GaussianMixtureFlow:
 
 
 class _FiniteParams:
-    """A channel whose every parameter is refused at construction if NaN or infinite."""
+    """A channel whose every parameter is refused at construction if NaN or infinite, and kept as a float."""
 
     def __post_init__(self):
         for f in fields(self):
-            _finite(getattr(self, f.name), f"channel {f.name}")
+            value = getattr(self, f.name)
+            _finite(value, f"channel {f.name}")
+            # floats, as a config reloads them, so that both dump the same text
+            object.__setattr__(self, f.name, float(value) if np.ndim(value) == 0 else tuple(map(float, value)))
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,7 @@ class BlockStack:
         gain = _real(self.gain, "nonlinearity gain")  # a bool too: it dumps as true, which a config refuses
         if not (math.isfinite(gain) and gain >= 0.0):
             raise ValueError(f"nonlinearity gain must be finite and >= 0, got {self.gain}")
+        object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.mixing not in ("rotation", "identity"):
             raise ValueError(f"mixing must be 'rotation' or 'identity', got {self.mixing!r}")

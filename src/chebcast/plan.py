@@ -20,6 +20,7 @@ from .schedule import ActivationSchedule
 
 FORECASTER_KINDS = ("oracle", "naive", "taylor", "spectrum")
 CACHE_SCOPES = ("last_block", "per_block")
+Moves = tuple[tuple[slice, slice], ...]  # (source, destination) row slices of the pass store, copied in order
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,12 @@ class Stretch:
     and, as views of its own arrays or of its plan's, the fold's transpose
     fold_t for a spectral stretch, w, the weights in the (stop - start, 1, 1,
     m) shape of the stacked forecast, and increments, the Euler increments of
-    step start - 1, the pass before it, and of its own steps, as a column,
-    which ForecastPlan.laid_out sets: a run takes that pass's Euler step in
-    the stretch's running sum.
+    step start - 1, the pass before it, and of its own steps, as a column: a
+    run takes that pass's Euler step in the stretch's running sum.  moves,
+    the (source, destination) store row slices a run copies after the
+    stretch, in order, carry the passes a later stretch reads again to where
+    it reads them (_lay_out), or are ().  ForecastPlan.laid_out sets
+    increments and moves.
     """
 
     start: int
@@ -84,6 +88,7 @@ class Stretch:
     fold_t: np.ndarray | None = field(init=False)
     w: np.ndarray = field(init=False)
     increments: np.ndarray | None = field(init=False, default=None)  # (stop - start + 1, 1), from step start - 1
+    moves: Moves = field(init=False, default=())
 
     def __post_init__(self):
         spectral = self.fold is not None
@@ -92,11 +97,8 @@ class Stretch:
         object.__setattr__(self, "w", self.weights[:, None, None, :])
 
 
-Moves = tuple[tuple[slice, slice], ...]  # (source, destination) row slices of the pass store, copied in order
-
-
-def _lay_out(stretches: list[Stretch], nfe: int, n_coef: int) -> tuple[tuple[int, ...], dict[int, Moves], int]:
-    """The store row of each pass, the moves after each stretch that makes any, and the store's pass rows.
+def _lay_out(stretches: list[Stretch], nfe: int, n_coef: int) -> tuple[list[int], list[Moves], int]:
+    """The store row of each pass, the moves after each stretch, and the store's pass rows.
 
     A pass is written where the first stretch to read it reads it; one that
     no stretch reads, at the first pass row, which no pass a stretch reads
@@ -114,7 +116,7 @@ def _lay_out(stretches: list[Stretch], nfe: int, n_coef: int) -> tuple[tuple[int
         last[s.lo:s.hi] = [i] * (s.hi - s.lo)
     rows = [n_coef] * nfe
     park = n_coef + max([1] + [s.hi - s.lo for s in stretches])  # the first row of the parked passes
-    end, parked, written, moves = park, None, 0, {}  # parked: the first parked pass, or None
+    end, parked, written, moves = park, None, 0, []  # parked: the first parked pass, or None
     for i, s in enumerate(stretches):
         new = max(s.lo, written)  # the passes written since the last stretch that this one reads
         rows[new:s.hi] = range(new + n_coef - s.lo, s.hi + n_coef - s.lo)
@@ -132,9 +134,8 @@ def _lay_out(stretches: list[Stretch], nfe: int, n_coef: int) -> tuple[tuple[int
         if parked is not None and parked >= after:  # the next stretch reads the parked passes too
             copies.append((slice(park, park + s.lo - parked), slice(n_coef + parked - after, n_coef + s.lo - after)))
             parked = None
-        if copies:
-            moves[s.start] = tuple(copies)
-    return tuple(rows), moves, end - n_coef
+        moves.append(tuple(copies))
+    return rows, moves, end - n_coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +151,22 @@ class ForecastPlan:
 
     The plan also lays out the run's pass store, one (n_blocks, n_coef +
     n_rows, width) array: every block's Q^T H in its first n_coef rows (none
-    but for the spectral kind), then the pass rows.  The k-th pass
-    (0-based) is written once, at row pass_rows[k], and each stretch reads
-    its passes in place (see Stretch).  After the stretch that starts at
-    step j, a run copies the row slices moves[j], in order: they carry the
-    passes a later stretch reads again to where it reads them (_lay_out).
-    Each stretch carries the operands a run takes with it, as views of its
-    own arrays and of the plan's increments, so a run derives none; the
-    passes read their times from step_times, Python floats made once here.
+    but for the spectral kind), then the pass rows.  passes lists the actual
+    passes in step order, each as (step, time, row, stretch): its 0-based
+    step, its time as a Python float (bitwise its entry of times, made once
+    here), the store row it is written at, once, and the Stretch that starts
+    at step + 1, or None.  A run walks them, a pass and the stretch after it
+    at a time.  Each stretch reads its passes in place and carries the
+    operands a run takes with it, as views of its own arrays and of the
+    plan's increments, and the moves made after it (see Stretch), so a run
+    derives none.
     """
 
     times: np.ndarray       # (N,) t_j = (j-1)/N
     increments: np.ndarray  # (N,) Euler step lengths: (t_j + 1/N) - t_j, and 1 - t_N at the last step
-    step_times: tuple[float, ...]  # (N,) the times as Python floats, each bitwise its entry of times
     flags: tuple[str, ...]
-    stretches: dict[int, Stretch]  # keyed by their first step
+    passes: tuple[tuple[int, float, int, Stretch | None], ...]  # (NFE,) (step, time, row, stretch), in step order
     n_coef: int  # rows of Q^T H above the passes: degree + 1 for the spectral kind, else 0
-    pass_rows: tuple[int, ...]  # (NFE,) the store row each pass is written at
-    moves: dict[int, Moves]  # keyed by the first step of the stretch they follow, if it moves any pass
     n_rows: int  # pass rows of the store: the most a stretch reads, then any parked passes; at least 1
     lengths: tuple[int, ...]  # the distinct stretch lengths, ascending
     widths: tuple[int, ...]  # the distinct leading store rows m that a stretch's w weighs, ascending
@@ -178,18 +177,21 @@ class ForecastPlan:
 
         Each stretch takes its column of the increments here, a view of them
         from the pass before it (every stretch follows a pass) to its last
-        step, and the plan the distinct shapes of its stretches' operands,
-        for which a run makes the views of its own arrays that stretches
-        share.  The step times are made Python floats here, once a plan,
-        where a run would make them on every call.
+        step, and its moves; the plan takes the distinct shapes of its
+        stretches' operands, for which a run makes the views of its own
+        arrays that stretches share.
         """
-        pass_rows, moves, n_rows = _lay_out(stretches, flags.count("actual"), n_coef)
-        for s in stretches:
+        rows, moves, n_rows = _lay_out(stretches, flags.count("actual"), n_coef)
+        for s, m in zip(stretches, moves):
             object.__setattr__(s, "increments", increments[s.start - 1:s.stop, None])
+            object.__setattr__(s, "moves", m)
+        after = {s.start - 1: s for s in stretches}  # each stretch by the pass before it
+        step_times = times.tolist()
+        steps = [j for j, flag in enumerate(flags) if flag == "actual"]
+        passes = tuple((j, step_times[j], row, after.get(j)) for j, row in zip(steps, rows))
         lengths = sorted({s.stop - s.start for s in stretches})
         widths = sorted({s.weights.shape[1] for s in stretches})
-        return cls(times, increments, tuple(times.tolist()), flags, {s.start: s for s in stretches}, n_coef,
-                   pass_rows, moves, n_rows, tuple(lengths), tuple(widths))
+        return cls(times, increments, flags, passes, n_coef, n_rows, tuple(lengths), tuple(widths))
 
 
 def plan_forecasts(schedule: ActivationSchedule, choice: ForecasterChoice) -> ForecastPlan:

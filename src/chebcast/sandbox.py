@@ -61,21 +61,21 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     """Iterate the schedule over t in [0, 1), forecasting on skipped steps.
 
     Step j (1-based) evaluates the drift at t_j = (j-1)/N and advances the
-    state to t_j + 1/N.  The run walks config.plan: an actual step evaluates
-    the denoiser, at the step time the plan holds as a Python float, writes
-    its feature once into the pass store, at the row the plan laid out for it,
-    and takes the Euler step, unless a stretch follows it; a stretch of
-    skipped steps is one product of its planned weights with its passes, read
-    in place from the store.  Its states, and the state of the pass before it,
-    are one running sum of its planned Euler increments times their features,
-    made in place in the states from the state before that pass: the stepwise
-    run's multiplies and adds, in its order.  A one-step stretch adds twice, a
-    longer one accumulates from the row above the pass (after the first pass,
-    from no row: it adds the initial latent first).  After it, the stretch's
-    planned slice moves carry the passes a later stretch reads again.  A
-    stretch writes only into arrays made once a run, and makes no numpy call
-    a step: a spectral one's stacked product through its planned fold writes
-    every block's new Q^T H over the old (numpy buffers that overlap), and one
+    state to t_j + 1/N.  The run is one loop over the plan's passes, each
+    with the stretch after it: a pass evaluates the denoiser, at its time as
+    the plan holds it (a Python float), writes its feature once into the
+    pass store, at the row the plan laid out for it, and takes the Euler
+    step, unless a stretch follows it; a stretch of skipped steps is one
+    product of its planned weights with its passes, read in place from the
+    store.  Its states, and the state of the pass before it, are one running
+    sum of its planned Euler increments times their features, made in place
+    in the states: the first adds x, the state before the pass, and the rest
+    follow in one accumulate (two adds for a one-step stretch), the stepwise
+    run's multiplies and adds, in its order.  After it, the stretch's planned
+    slice moves carry the passes a later stretch reads again.  A stretch
+    writes only into arrays made once a run, and makes no numpy call a step:
+    a spectral one's stacked product through its planned fold writes every
+    block's new Q^T H over the old (numpy buffers that overlap), and one
     stacked product, for every kind, forecasts every step and block as w @
     the block's leading store rows (Q^T H, or the passes for Taylor and naive
     reuse).  Each slice of either is its own 2-D product over a C-contiguous
@@ -109,8 +109,7 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
     n_blocks = spec.n_blocks if per_block else 1
 
     n = config.n_steps
-    times, increments = plan.step_times, plan.increments
-    stretches, pass_rows, moves, n_coef = plan.stretches, plan.pass_rows, plan.moves, plan.n_coef
+    increments, n_coef = plan.increments, plan.n_coef
     states = np.empty((n, spec.dim))
     features = np.empty((n, spec.dim))
     # every block's [Q^T H; passes], a C-contiguous slice each; numpy buffers the fold's overlap with it
@@ -125,28 +124,21 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         spec.base_features(plan.times, out=features)  # each step's row starts from its base feature
     else:
         forecasts = features[:, None, None]
-    k = j = 0
-    stretch = None  # step 1 is always a pass
-    while j < n:
-        if stretch is None:
-            t = times[j]
-            target = store_rows[pass_rows[k]]
-            if per_block:
-                stages = spec.stage_outputs(t, base=features[j])
-                np.subtract(stages[1:], stages[:-1], out=target)  # y_b - y_(b-1), one row a block
-                features[j] = stages[-1]
-                del stages  # not held through the next pass or fold, which set the run's memory peak
-            else:
-                features[j] = target[0] = evaluate_denoiser(spec, x, t)  # the score is the feature itself
-            if not np.isfinite(target).all():
-                raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
-                                   f"feature at t={t:g} has non-finite entries")
-            k += 1
-            j += 1
-            stretch = stretches.get(j)
-            if stretch is None:  # else the stretch after this pass takes its Euler step
-                x = x + increments[j - 1] * features[j - 1]
-                states[j - 1] = x
+    for j, t, row, stretch in plan.passes:
+        target = store_rows[row]
+        if per_block:
+            stages = spec.stage_outputs(t, base=features[j])
+            np.subtract(stages[1:], stages[:-1], out=target)  # y_b - y_(b-1), one row a block
+            features[j] = stages[-1]
+            del stages  # not held through the next pass or fold, which set the run's memory peak
+        else:
+            features[j] = target[0] = evaluate_denoiser(spec, x, t)  # the score is the feature itself
+        if not np.isfinite(target).all():
+            raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
+                               f"feature at t={t:g} has non-finite entries")
+        if stretch is None:  # else the stretch after this pass takes its Euler step
+            x = x + increments[j] * features[j]
+            states[j] = x
             continue
         stop = stretch.stop
         if stretch.fold is not None:  # a spectral stretch first folds its passes into the Q^T H it weighs
@@ -157,30 +149,24 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         # one vector-matrix product a step and block, as each block's forecaster would predict
         w = stretch.w
         if per_block:  # the features already hold each step's base feature
-            block_terms, blocks = term_rows[stop - j]
+            block_terms, blocks = term_rows[stop - j - 1]
             np.matmul(w, leading[w.shape[3]], out=block_terms)
-            H = features[j:stop]
+            H = features[j + 1:stop]
             for block in blocks:  # each block's forecast added in block order, as the forecasters sum
                 H += block
         else:
-            np.matmul(w, leading[w.shape[3]], out=forecasts[j:stop])
-        if moves:
-            for source, destination in moves.get(j, ()):
-                store[:, destination] = store[:, source]
-        # the Euler steps of the pass before the stretch and of its steps, each added to the state in turn, as
-        # the stepwise run adds them, from x, the state before that pass
-        steps = np.multiply(stretch.increments, features[j - 1:stop], out=states[j - 1:stop])
-        if stop - j == 1:  # two adds; an accumulate along the rows is slower on wide ones
-            steps[0] += x
+            np.matmul(w, leading[w.shape[3]], out=forecasts[j + 1:stop])
+        for source, destination in stretch.moves:
+            store[:, destination] = store[:, source]
+        # the Euler steps of the pass and of the stretch's steps, each added to the state in turn, as the
+        # stepwise run adds them, from x, the state before the pass
+        steps = np.multiply(stretch.increments, features[j:stop], out=states[j:stop])
+        steps[0] += x
+        if stop - j == 2:  # a one-step stretch: one more add; an accumulate along the rows is slower on wide ones
             steps[1] += steps[0]
-        elif j > 1:  # x is the row above, so the sum starts from it
-            np.add.accumulate(states[j - 2:stop], axis=0, out=states[j - 2:stop])
-        else:  # the pass is step 1: x is the initial latent, in no row
-            steps[0] += x
+        else:
             np.add.accumulate(steps, axis=0, out=steps)
         x = states[stop - 1]
-        j = stop
-        stretch = None  # a pass or the end follows every stretch
 
     return TrajectoryRecord(
         times=plan.times.copy(),

@@ -41,6 +41,7 @@ class ScheduleParams:
         alpha = _real(self.alpha, "alpha")  # a bool too: it dumps as true, which a config refuses
         if not (math.isfinite(alpha) and alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        object.__setattr__(self, "alpha", alpha)
         for name in ("n_steps", "interval", "warmup"):  # in range, so now only a bool or a fraction is refused
             object.__setattr__(self, name, _count(getattr(self, name), name, least=1))
 

@@ -354,11 +354,9 @@ def spectral_fit(
         # covers the oldest of its n_points entries iff the newest is still at fitted_at.
         if cache.times(n - prior.factor.n_points + 1)[0] == prior.fitted_at:
             new, factor, qth = n - prior.factor.n_points, prior.factor, prior.qth
-    t, h = cache.latest()  # raises on an empty cache
-    if new == 1:  # the streaming case: one row, no stacking
-        rows, H = basis_row(config.degree, 2.0 * t - 1.0)[None], h[None]
-    else:  # project_time, vectorized; basis_matrix checks the range
-        rows, H = basis_matrix(config.degree, 2.0 * cache.times(new) - 1.0), cache.feature_stack(new)
+    t = cache.latest()[0]  # raises on an empty cache
+    # project_time, vectorized; basis_matrix checks the range
+    rows, H = basis_matrix(config.degree, 2.0 * cache.times(new) - 1.0), cache.feature_stack(new)
     if factor is None:
         factor, qth = RidgeFactor.empty(config.lam, config.degree + 1), np.zeros((config.degree + 1, H.shape[1]))
     degree = config.degree if config.lam > 0.0 else min(config.degree, n - 1)

@@ -130,8 +130,9 @@ def test_gate_5_exactness_suite():
     schedule = uniform_schedule(8, 3, 1)
     order0 = plan_forecasts(schedule, ForecasterChoice(kind="taylor", order=0))
     naive = plan_forecasts(schedule, ForecasterChoice(kind="naive"))
-    assert order0.flags == naive.flags and order0.stretches.keys() == naive.stretches.keys()
-    for a, b in zip(order0.stretches.values(), naive.stretches.values()):
+    assert order0.flags == naive.flags
+    assert [p[:3] for p in order0.passes] == [p[:3] for p in naive.passes]  # each pass's step, time and row
+    for (*_, a), (*_, b) in zip(order0.passes, naive.passes):  # every pass has a stretch after it
         assert (a.start, a.stop, a.lo, a.hi, a.fold) == (b.start, b.stop, b.lo, b.hi, b.fold)
         assert np.array_equal(a.weights, b.weights)
         newest = np.repeat(passes[a.hi - 1:a.hi], a.stop - a.start, axis=0)

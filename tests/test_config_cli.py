@@ -76,6 +76,29 @@ def test_config_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
+@pytest.mark.parametrize(
+    "spec, alpha",
+    [
+        (BlockStack(n_blocks=2, width=3, gain=1), 1),
+        (FunctionFamily(channels=(PolynomialChannel((1, 2)), SineChannel(amplitude=2), ExponentialChannel(3, -1))), 0),
+    ],
+    ids=["block-stack-gain-alpha", "channels"],
+)
+def test_config_of_int_values_round_trips_byte_for_byte(tmp_path, spec, alpha):
+    """Checked numbers given as ints are stored as floats, as a reloaded config holds them: both dump the same text."""
+    config = ExperimentConfig(spec, ScheduleParams(20, 2, 3, alpha), ForecasterChoice(kind="naive"), seeds=(1,))
+    dump_config(config, tmp_path / "first.json")
+    dump_config(load_config(str(tmp_path / "first.json")), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+
+def test_dump_config_writes_nothing_it_cannot_serialize(tmp_path):
+    config = dataclasses.replace(gate9_config(), output_dir=Path("out"))
+    with pytest.raises(ConfigError, match="has no serialized form"):
+        dump_config(config, tmp_path / "config.json")
+    assert not (tmp_path / "config.json").exists()
+
+
 def test_unknown_key_named_in_error(tmp_path):
     config, path = sample_config(tmp_path)
     raw = config.to_dict()
@@ -696,8 +719,9 @@ def test_dump_config_matches_golden_file(tmp_path, name):
     assert load_config(str(DATA / name)).to_dict() == GOLDEN[name]().to_dict()
 
 
-finite = st.floats(-1e6, 1e6, allow_nan=False)
-unit_floats = st.floats(0.0, 1e3, allow_nan=False)
+# ints too: a checked number given as an int is stored as the float a reloaded config holds
+finite = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**6, 10**6)
+unit_floats = st.floats(0.0, 1e3, allow_nan=False) | st.integers(0, 1000)
 seeds_st = st.integers(0, 2**32 - 1)
 channels = st.one_of(
     st.builds(PolynomialChannel, st.lists(finite, min_size=1, max_size=5).map(tuple)),
@@ -724,7 +748,7 @@ def schedules(draw):
         n_steps=n_steps,
         interval=draw(st.integers(1, 20)),
         warmup=draw(st.integers(1, n_steps)),
-        alpha=draw(st.floats(0.0, 10.0)),
+        alpha=draw(st.floats(0.0, 10.0) | st.integers(0, 10)),
     )
 
 
@@ -765,4 +789,6 @@ def configs(draw):
 @settings(max_examples=80, deadline=None)
 @given(config=configs())
 def test_config_round_trip_property(config):
-    assert parse_config(config.to_dict()).to_dict() == config.to_dict()
+    """The serialized text itself, where 1 == 1.0 would let a dict comparison pass."""
+    text = json.dumps(config.to_dict(), indent=2, sort_keys=True)
+    assert json.dumps(parse_config(json.loads(text)).to_dict(), indent=2, sort_keys=True) == text

@@ -264,8 +264,8 @@ def test_spectral_config_takes_an_integral_float_degree():
     choice = ForecasterChoice(kind="spectrum", degree=4.0, lam=1)
     assert (type(choice.degree), type(choice.lam)) == (int, float)
     # passes at t = 0, 0.1, 0.2 and 0.9; forecasts at t = 0.3, ..., 0.8
-    plan = plan_forecasts(uniform_schedule(10, 7, 3), choice)
-    assert plan.stretches[3].weights.shape == (6, 5)
+    stretch = plan_forecasts(uniform_schedule(10, 7, 3), choice).passes[2][3]  # after the pass at t = 0.2
+    assert stretch.start == 3 and stretch.weights.shape == (6, 5)
 
 
 def test_fit_empty_cache_errors():

@@ -456,7 +456,7 @@ def test_per_block_run_memory_is_its_arrays_and_one_fold_buffer(kind):
     row = spec.width * 8
     n_rows, n_coef = config.plan.n_rows, config.plan.n_coef
     assert n_coef == (choice.degree + 1 if kind == "spectrum" else 0)
-    longest = max(s.stop - s.start for s in config.plan.stretches.values())
+    longest = max(config.plan.lengths)
     arrays = (
         run.states.nbytes + run.features.nbytes
         + spec.n_blocks * (n_coef + n_rows) * row  # the pass store, which is the fold operand
@@ -534,105 +534,12 @@ def test_last_block_caching_close_to_per_block_with_fewer_fits():
         assert rmse_last <= 1.2 * rmse_per
 
 
-def per_block_reference(spec, schedule, choice, x0):
-    """Per-block caching with one independent spectral forecaster per block.
-
-    A forecast the forecasters cannot make raises forecast_refused.
-    """
-    spectral = SpectralConfig(degree=choice.degree, lam=choice.lam)
-    per_block = [SpectralForecaster(spectral, window=choice.window) for _ in range(spec.n_blocks)]
-    n = schedule.n_steps
-    dt = 1.0 / n
-    x = np.asarray(x0, dtype=float)
-    states, features = [], []
-    for j in range(1, n + 1):
-        t = (j - 1) * dt
-        if schedule.is_full_pass(j):
-            stages = spec.stage_outputs(t)
-            for b, fc in enumerate(per_block):
-                fc.observe(t, stages[b + 1] - stages[b])
-            h = stages[-1]
-        else:
-            h = spec.base_feature(t)
-            try:
-                for fc in per_block:
-                    h = h + fc.predict(t)
-            except (ValueError, RidgeFitError) as err:
-                raise forecast_refused(choice.kind, j, t, err) from err
-        x = x + ((t + dt if j < n else 1.0) - t) * h  # the Euler step
-        states.append(x)
-        features.append(h)
-    return np.array(states), np.array(features), sum(fc.fit_count for fc in per_block)
-
-
 def assert_refused_alike(schedule, choice, err):
     """The reference's refusal err is what SolverConfig, through plan_forecasts, raises: message and cause type."""
     with pytest.raises(ValueError) as raised:
         SolverConfig(schedule, choice)
     assert str(raised.value) == str(err)
     assert type(raised.value.__cause__) is type(err.__cause__)
-
-
-def assert_relative_close(actual, expected, rtol):
-    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize(
-    "schedule, choice",
-    [
-        # default spectral settings
-        (uniform_schedule(50, 4, 3), ForecasterChoice(kind="spectrum", cache_scope="per_block")),
-        # a window of 5 evicted from the 6th of 13 passes on
-        (uniform_schedule(50, 4, 1), ForecasterChoice(kind="spectrum", window=5, cache_scope="per_block")),
-        # lambda = 0: the forecasts at steps 2-3, ..., 11-12 fit fewer than degree + 1 points
-        (
-            uniform_schedule(40, 3, 1),
-            ForecasterChoice(kind="spectrum", degree=4, lam=0.0, cache_scope="per_block"),
-        ),
-    ],
-    ids=["default", "window-evicted", "lambda0-degree-cap"],
-)
-def test_stacked_per_block_matches_independent_forecasters(schedule, choice):
-    spec = BlockStack(n_blocks=3, width=16, gain=1.5, seed=4)
-    x0 = sample_initial_latent(spec.dim, 8)
-    run = run_sampler(spec, SolverConfig(schedule, choice), x0)
-    states, features, fit_count = per_block_reference(spec, schedule, choice, x0)
-    assert_relative_close(run.features, features, 1e-12)
-    assert_relative_close(run.states, states, 1e-12)
-    assert run.fit_count == fit_count == spec.n_blocks * schedule.nfe
-    assert "forecast" in run.flags
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n_blocks=st.integers(1, 4),
-    width=st.integers(1, 12),
-    gain=st.floats(0.0, 2.5),
-    mixing=st.sampled_from(["rotation", "identity"]),
-    degree=st.integers(0, 6),
-    lam=st.sampled_from([0.0, 1e-3, 0.1]),
-    window=st.none() | st.integers(1, 8),
-    n_steps=st.integers(2, 60),
-    interval=st.integers(1, 6),
-    warmup=st.integers(1, 6),
-)
-def test_per_block_matches_independent_forecasters(
-    n_blocks, width, gain, mixing, degree, lam, window, n_steps, interval, warmup
-):
-    spec = BlockStack(n_blocks=n_blocks, width=width, gain=gain, mixing=mixing, seed=4)
-    choice = ForecasterChoice(kind="spectrum", degree=degree, lam=lam, window=window, cache_scope="per_block")
-    schedule = uniform_schedule(n_steps, interval, min(warmup, n_steps))
-    x0 = sample_initial_latent(spec.dim, 8)
-    try:
-        states, features, fit_count = per_block_reference(spec, schedule, choice, x0)
-    except ValueError as err:
-        assert_refused_alike(schedule, choice, err)
-        return
-    run = run_sampler(spec, SolverConfig(schedule, choice), x0)
-    scale = 1e-12 * max(1.0, np.max(np.abs(features)))
-    assert np.max(np.abs(run.features - features)) <= scale
-    assert np.max(np.abs(run.states - states)) <= scale
-    assert run.fit_count == fit_count == spec.n_blocks * schedule.nfe
 
 
 def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
@@ -646,7 +553,9 @@ def test_per_block_forecast_is_base_plus_weights_over_width_residuals():
     residuals = np.array([[y[b + 1] - y[b] for y in stages] for b in range(spec.n_blocks)])
     assert residuals.shape == (spec.n_blocks, len(actual), spec.width)
     forecasts, qth = [], None
-    for stretch in config.plan.stretches.values():
+    for *_, stretch in config.plan.passes:
+        if stretch is None:
+            continue
         steps = range(stretch.start, stretch.stop)
         assert stretch.weights.shape == (len(steps), choice.degree + 1)
         assert stretch.hi - stretch.lo <= choice.window  # evicted passes are never folded in
@@ -722,8 +631,8 @@ def test_plan_folds_the_design_alone_and_never_carries_features(monkeypatch, cac
     monkeypatch.setattr(ridge, "rotate_features", forbidden)
     choice = ForecasterChoice(kind="spectrum", window=3, cache_scope=cache_scope)
     config = SolverConfig(adaptive_schedule(ScheduleParams(40, 2, 4, 1.0)), choice)
-    assert all(stretch.fold is not None for stretch in config.plan.stretches.values())
-    assert config.plan.stretches
+    stretches = [stretch for *_, stretch in config.plan.passes if stretch is not None]
+    assert stretches and all(stretch.fold is not None for stretch in stretches)
 
 
 def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
@@ -755,9 +664,8 @@ def test_run_on_a_built_config_never_fits_or_forecasts(monkeypatch):
 def stepwise_reference(spec, schedule, choice, x0):
     """The sampler as one loop over the steps: observe, predict and an Euler step at each.
 
-    Per-block caching keeps one independent forecaster of the kind per block,
-    as per_block_reference does for the spectral kind.  A forecast the
-    forecasters cannot make raises forecast_refused.
+    Per-block caching keeps one independent forecaster of the kind per
+    block.  A forecast the forecasters cannot make raises forecast_refused.
     """
     per_block = choice.cache_scope == "per_block"
     if choice.kind == "spectrum":
@@ -821,36 +729,47 @@ def stepwise_reference(spec, schedule, choice, x0):
     alpha=st.sampled_from([0.0, 0.5, 3.0]),
     width=st.integers(1, 9),
     n_blocks=st.integers(1, 9),
+    gain=st.floats(0.0, 2.5),
+    mixing=st.sampled_from(["rotation", "identity"]),
 )
 # eight per-block forecasts of width 1: a pairwise sum over the blocks differs from adding them in block order
 @example(kind="spectrum", order=1, degree=4, lam=1e-3, window=None, per_block=True, mixture=False,
-         n_steps=40, interval=3, warmup=4, alpha=0.5, width=1, n_blocks=8)
+         n_steps=40, interval=3, warmup=4, alpha=0.5, width=1, n_blocks=8, gain=1.5, mixing="rotation")
 # the stretch after each pass takes the pass's Euler step: one-step stretches (two adds), last-block and per-block
 @example(kind="naive", order=1, degree=4, lam=0.1, window=None, per_block=False, mixture=True,
-         n_steps=20, interval=2, warmup=3, alpha=0.0, width=3, n_blocks=2)
+         n_steps=20, interval=2, warmup=3, alpha=0.0, width=3, n_blocks=2, gain=1.5, mixing="rotation")
 @example(kind="spectrum", order=1, degree=3, lam=0.1, window=None, per_block=True, mixture=False,
-         n_steps=20, interval=2, warmup=3, alpha=0.0, width=4, n_blocks=3)
-# multi-step stretches after passes at steps 3, 7, ...: the running sum starts from the state stored above the pass
+         n_steps=20, interval=2, warmup=3, alpha=0.0, width=4, n_blocks=3, gain=1.5, mixing="rotation")
+# multi-step stretches after passes at steps 3, 7, ...: the running sum starts from x, the state row above the pass
 @example(kind="spectrum", order=1, degree=2, lam=0.1, window=None, per_block=False, mixture=True,
-         n_steps=30, interval=4, warmup=3, alpha=0.0, width=3, n_blocks=2)
-# a multi-step stretch right after step 1: no state row above the pass, so the sum adds the initial latent first
+         n_steps=30, interval=4, warmup=3, alpha=0.0, width=3, n_blocks=2, gain=1.5, mixing="rotation")
+# a multi-step stretch right after step 1: the running sum starts from x, the initial latent, in no state row
 @example(kind="spectrum", order=1, degree=2, lam=0.1, window=None, per_block=False, mixture=True,
-         n_steps=20, interval=3, warmup=1, alpha=0.0, width=3, n_blocks=2)
+         n_steps=20, interval=3, warmup=1, alpha=0.0, width=3, n_blocks=2, gain=1.5, mixing="rotation")
 # per-block reuse and Taylor: each block's newest passes weighed in place, and, for order 2 in a window of 3,
 # the two a later stretch reads again slid down under it after every stretch
 @example(kind="naive", order=1, degree=4, lam=0.1, window=None, per_block=True, mixture=False,
-         n_steps=30, interval=3, warmup=2, alpha=0.5, width=4, n_blocks=3)
+         n_steps=30, interval=3, warmup=2, alpha=0.5, width=4, n_blocks=3, gain=1.5, mixing="rotation")
 @example(kind="taylor", order=2, degree=4, lam=0.1, window=3, per_block=True, mixture=False,
-         n_steps=30, interval=3, warmup=3, alpha=0.0, width=4, n_blocks=3)
+         n_steps=30, interval=3, warmup=3, alpha=0.0, width=4, n_blocks=3, gain=1.5, mixing="rotation")
+# per-block spectral at the default settings; with a window of 5, evicted from the 6th of 13 passes on; and at
+# lambda = 0, where the forecasts at steps 2-3, ..., 11-12 fit fewer than degree + 1 points
+@example(kind="spectrum", order=1, degree=4, lam=0.1, window=None, per_block=True, mixture=False,
+         n_steps=50, interval=4, warmup=3, alpha=0.0, width=16, n_blocks=3, gain=1.5, mixing="rotation")
+@example(kind="spectrum", order=1, degree=4, lam=0.1, window=5, per_block=True, mixture=False,
+         n_steps=50, interval=4, warmup=1, alpha=0.0, width=16, n_blocks=3, gain=1.5, mixing="rotation")
+@example(kind="spectrum", order=1, degree=4, lam=0.0, window=None, per_block=True, mixture=False,
+         n_steps=40, interval=3, warmup=1, alpha=0.0, width=16, n_blocks=3, gain=1.5, mixing="rotation")
 def test_planned_run_matches_the_stepwise_run(
-    kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha, width, n_blocks
+    kind, order, degree, lam, window, per_block, mixture, n_steps, interval, warmup, alpha, width, n_blocks, gain,
+    mixing,
 ):
     if mixture and not per_block:  # the state feeds back into every actual pass
         spec = GaussianMixtureFlow(
             weights=(0.6, 0.4), means=np.array([[1.0, -2.0, 0.5], [-1.5, 1.0, 2.0]]), variances=np.full((2, 3), 0.3)
         )
     else:
-        spec = BlockStack(n_blocks=n_blocks, width=width, gain=1.5, seed=4)
+        spec = BlockStack(n_blocks=n_blocks, width=width, gain=gain, mixing=mixing, seed=4)
     choice = ForecasterChoice(
         kind=kind, order=order, degree=degree, lam=lam, window=window,
         cache_scope="per_block" if per_block else "last_block",
@@ -885,18 +804,25 @@ def assert_same_plan(plan, reference):
     """Every field of two plans equal, the floats bitwise, and each stretch's run operands views of its arrays."""
     assert np.array_equal(plan.times, reference.times)
     assert np.array_equal(plan.increments, reference.increments)
-    assert type(plan.step_times) is tuple and all(type(t) is float for t in plan.step_times)
-    assert np.array(plan.step_times).tobytes() == plan.times.tobytes() == reference.times.tobytes()
-    assert plan.step_times == reference.step_times
     assert plan.flags == reference.flags
     assert plan.n_rows == reference.n_rows
-    assert plan.lengths == reference.lengths == tuple(sorted({s.stop - s.start for s in plan.stretches.values()}))
-    widths = {s.w.shape[3] for s in plan.stretches.values()}
-    assert plan.widths == reference.widths == tuple(sorted(widths))
-    assert list(plan.stretches) == list(reference.stretches)
-    for got, want in zip(plan.stretches.values(), reference.stretches.values()):
+    stretches = [s for *_, s in plan.passes if s is not None]
+    assert plan.lengths == reference.lengths == tuple(sorted({s.stop - s.start for s in stretches}))
+    assert plan.widths == reference.widths == tuple(sorted({s.w.shape[3] for s in stretches}))
+    assert [j for j, *_ in plan.passes] == [j for j, flag in enumerate(plan.flags) if flag == "actual"]
+    assert len(plan.passes) == len(reference.passes)
+    for (j, t, row, got), (j_ref, t_ref, row_ref, want) in zip(plan.passes, reference.passes):
+        assert (j, row) == (j_ref, row_ref)
+        # the pass's time as a Python float, bitwise its entry of the times
+        assert type(t) is float and type(t_ref) is float
+        assert np.array([t, t_ref]).tobytes() == plan.times[[j, j]].tobytes()
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
         assert (got.start, got.stop, got.lo, got.hi) == (want.start, want.stop, want.lo, want.hi)
+        assert got.start == j + 1  # the stretch right after the pass
         assert got.fresh == want.fresh
+        assert got.moves == want.moves
         assert got.weights.shape == want.weights.shape
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.reads == want.reads == plan.n_coef + got.hi - got.lo
@@ -959,7 +885,7 @@ def replay_pass_store(plan):
     reader.
     """
     store = np.full(plan.n_coef + plan.n_rows, -1)
-    stretches = list(plan.stretches.values())
+    stretches = [s for *_, s in plan.passes if s is not None]
     last = {p: i for i, s in enumerate(stretches) for p in range(s.lo, s.hi)}  # each pass's last reader
     done = k = 0  # stretches run, passes written
 
@@ -967,21 +893,19 @@ def replay_pass_store(plan):
         held = set(store.tolist())
         assert all(p in held for p in range(k) if last.get(p, -1) >= done)
 
-    for j, flag in enumerate(plan.flags):
-        if flag == "actual":
-            store[plan.pass_rows[k]] = k
-            k += 1
-            assert_live_kept()
-        elif j in plan.stretches:
-            stretch = plan.stretches[j]
+    for _, _, row, stretch in plan.passes:
+        store[row] = k
+        k += 1
+        assert_live_kept()
+        if stretch is not None:
             yield stretch, store.copy()
-            for source, destination in plan.moves.get(j, ()):
+            for source, destination in stretch.moves:
                 assert isinstance(source, slice) and isinstance(destination, slice)  # never a fancy index
                 assert source.step is None and destination.step is None
                 store[destination] = store[source]  # numpy's overlap semantics, as the run's moves
             done += 1
             assert_live_kept()
-    assert k == len(plan.pass_rows)
+    assert done == len(stretches)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1009,14 +933,18 @@ def test_pass_store_lets_every_stretch_read_its_passes_in_place(
     except ValueError:  # a forecast the plan cannot make: no layout to check
         return
     assert plan.n_coef == (degree + 1 if kind == "spectrum" else 0)
-    assert all(plan.n_coef <= row < plan.n_coef + plan.n_rows for row in plan.pass_rows)
-    assert set(plan.moves) <= set(plan.stretches)
+    assert all(plan.n_coef <= row < plan.n_coef + plan.n_rows for _, _, row, _ in plan.passes)
+    # the stretches, each after its pass, cover every skipped step once
+    skipped = [i for *_, s in plan.passes if s is not None for i in range(s.start, s.stop)]
+    assert skipped == [j for j, flag in enumerate(plan.flags) if flag == "forecast"]
+    stretches = []
     for stretch, store in replay_pass_store(plan):
+        stretches.append(stretch)
         # exactly passes lo..hi-1, at the first pass rows, directly under the Q^T H rows
         read = store[plan.n_coef : plan.n_coef + stretch.hi - stretch.lo]
         assert read.tolist() == list(range(stretch.lo, stretch.hi))
     if kind == "spectrum" and window is None:  # each pass is folded once, where it was written
-        assert plan.moves == {}
+        assert all(not s.moves for s in stretches)
 
 
 def test_every_run_reads_its_passes_without_concatenating(monkeypatch):
@@ -1042,7 +970,7 @@ def test_every_run_reads_its_passes_without_concatenating(monkeypatch):
     for config in configs:
         run = run_sampler(spec, config, x0)
         assert np.isfinite(run.states).all()
-    assert any(config.plan.moves for config in configs)
+    assert any(s is not None and s.moves for config in configs for *_, s in config.plan.passes)
 
 
 def test_per_block_pass_starts_from_the_base_already_in_the_features(monkeypatch):
@@ -1188,8 +1116,8 @@ def test_forecaster_choice_takes_an_integral_float_order():
     choice = ForecasterChoice(kind="taylor", order=2.0)
     assert type(choice.order) is int and choice.order == 2
     # passes at t = 0, 0.1 and 0.2; forecasts at t = 0.3, ..., 0.9, each weighing all three passes
-    plan = plan_forecasts(uniform_schedule(10, 8, 3), choice)
-    assert plan.stretches[3].weights.shape == (7, 3)
+    stretch = plan_forecasts(uniform_schedule(10, 8, 3), choice).passes[2][3]  # after the pass at t = 0.2
+    assert stretch.start == 3 and stretch.weights.shape == (7, 3)
 
 
 def test_velocity_at_unit_time_returns_state():
