@@ -20,19 +20,34 @@ import numpy as np
 TAU_SLACK = 1e-12
 
 
+def _is_number(value, types=(int, float, np.integer, np.floating)) -> bool:
+    """The one rule for a number: one of types; never a bool, a string or any other object."""
+    return not isinstance(value, bool) and isinstance(value, types)
+
+
+def _is_integer(value, types=(int, np.integer)) -> bool:
+    """The one rule for an integer: a number of types, or a float with no fractional part; never a bool."""
+    return _is_number(value, types) or (isinstance(value, float) and value.is_integer())
+
+
 def _count(value, what: str, least: int = 0) -> int:
     """value as an int >= least; a bool, a number with a fractional part or a non-number is an error, not truncated."""
-    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < least:
+    if not _is_integer(value) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
-def _real(value, what: str) -> float:
-    """value as a float; a bool, a string or any other non-number is an error, not converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+def _real(value, what: str, least: float | None = None) -> float:
+    """value as a float; refused if no number or an int past the float range, and, given least, NaN, inf or less."""
+    if not _is_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # only an int raises it, and its digits may be too many to print
+        raise ValueError(f"{what} must lie in the float range, got an integer of {value.bit_length()} bits") from None
+    if least is not None and not (math.isfinite(number) and number >= least):
+        raise ValueError(f"{what} must be finite and >= {least:g}, got {value}")
+    return number
 
 
 def _finite(values, what: str) -> None:
@@ -92,11 +107,9 @@ class EllipseBound:
     sup_bound: float
 
     def __post_init__(self):
-        for value, what in ((self.rho, "ellipse parameter"), (self.sup_bound, "sup bound")):
-            _real(value, what)
-        if not (1.0 < self.rho < math.inf):
+        if not (1.0 < _real(self.rho, "ellipse parameter") < math.inf):
             raise ValueError(f"ellipse parameter must be finite and > 1, got {self.rho}")
-        if not (0.0 < self.sup_bound < math.inf):
+        if not (0.0 < _real(self.sup_bound, "sup bound") < math.inf):
             raise ValueError(f"sup bound must be finite and > 0, got {self.sup_bound}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .basis import _count
+from .basis import _count, _is_integer, _is_number
 from .denoisers import (
     BlockStack,
     DenoiserSpec,
@@ -55,15 +55,8 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be a non-empty list")
         # each as an int, so a config dumps only what load_config reads back
-        seeds = tuple(_count(seed, "seed") for seed in self.seeds)
-        repeated = [seed for seed in seeds if seeds.count(seed) > 1]
-        if repeated:
-            raise ValueError(f"seeds must be distinct, got {repeated[0]} more than once")
-        object.__setattr__(self, "seeds", seeds)
-        checkpoints = tuple(_count(step, "checkpoint", least=1) for step in self.checkpoints)
-        repeated = [step for step in checkpoints if checkpoints.count(step) > 1]
-        if repeated:
-            raise ValueError(f"checkpoints must be distinct, got {repeated[0]} more than once")
+        object.__setattr__(self, "seeds", _distinct(tuple(_count(seed, "seed") for seed in self.seeds), "seeds"))
+        checkpoints = _distinct(tuple(_count(step, "checkpoint", least=1) for step in self.checkpoints), "checkpoints")
         object.__setattr__(self, "checkpoints", checkpoints)
         for step in checkpoints:
             if step > n:
@@ -80,6 +73,14 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return _dump(self)
+
+
+def _distinct(values: tuple, what: str) -> tuple:
+    """values, refused if one of them comes twice."""
+    repeated = [v for v in values if values.count(v) > 1]
+    if repeated:
+        raise ValueError(f"{what} must be distinct, got {repeated[0]} more than once")
+    return values
 
 
 _RENAME = {"lam": "lambda"}
@@ -108,15 +109,15 @@ def _parse_tagged(what: str, key: str, table: dict, raw, path: str):
 
 
 def _integer(v, path: str) -> int:
-    """v as an int; a bool or a number with a fractional part is an error, not truncated."""
-    if isinstance(v, bool) or not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
+    """v as an int by the basis rule, over JSON's ints; a bool or a number with a fractional part is an error."""
+    if not _is_integer(v, int):
         raise ConfigError(f"invalid value for {path}: expected an integer, got {v!r}")
     return int(v)
 
 
 def _number(v, path: str) -> float:
-    """v as a float; a bool, a string or any other non-number is an error, not converted."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """v as a float by the basis rule, over JSON's numbers; a bool, a string or any other non-number is an error."""
+    if not _is_number(v, (int, float)):
         raise ConfigError(f"invalid value for {path}: expected a number, got {v!r}")
     return float(v)
 

@@ -20,7 +20,6 @@ itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,7 +29,7 @@ from .basis import _count, _finite, _real
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixtureFlow:
-    """Rectified-flow velocity oracle for a diagonal Gaussian mixture target."""
+    """Rectified-flow velocity oracle for a diagonal Gaussian mixture target, of its declared shapes only."""
 
     weights: tuple[float, ...]
     means: np.ndarray      # (n_components, dim)
@@ -44,18 +43,14 @@ class GaussianMixtureFlow:
         for values, what in ((self.weights, "mixture weights"), (self.means, "mixture means"),
                              (self.variances, "mixture variances")):
             _finite(values, what)  # before the conversions to float, which would take a string for a number
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        variances = np.asarray(self.variances, dtype=float)
-        if variances.ndim == 1:
-            variances = np.repeat(variances[:, None], means.shape[1], axis=1)
-        variances = np.atleast_2d(variances)
+        w, means, variances = (np.asarray(v, dtype=float) for v in (self.weights, self.means, self.variances))
+        if means.ndim != 2 or variances.shape != means.shape or w.shape != means.shape[:1]:
+            raise ValueError("mixture weights, means and variances must have shapes (n_components,), (n_components, "
+                             f"dim) and (n_components, dim), got {w.shape}, {means.shape} and {variances.shape}")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
-        w = np.asarray(self.weights)
-        if w.ndim != 1 or w.size != means.shape[0] or variances.shape != means.shape:
-            raise ValueError("weights, means and variances must agree on component count")
         if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be non-negative and sum to 1")
         if np.any(variances <= 0.0):
@@ -89,14 +84,19 @@ class GaussianMixtureFlow:
 
 
 class _FiniteParams:
-    """A channel whose every parameter is refused at construction if NaN or infinite, and kept as a float."""
+    """A channel: a float field takes one finite number, a tuple[float, ...] field a sequence of them, each by _real."""
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            _finite(value, f"channel {f.name}")
-            # floats, as a config reloads them, so that both dump the same text
-            object.__setattr__(self, f.name, float(value) if np.ndim(value) == 0 else tuple(map(float, value)))
+            value, what = getattr(self, f.name), f"channel {f.name}"
+            _finite(value, what)
+            if f.type != "tuple[float, ...]":
+                value = _real(value, what)
+            elif np.ndim(value) == 1:
+                value = tuple(_real(x, what) for x in value)
+            else:
+                raise ValueError(f"{what} must be a sequence of numbers, got {value!r}")
+            object.__setattr__(self, f.name, value)  # floats, as a config reloads them: both dump the same text
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,7 @@ class BlockStack:
     def __post_init__(self):
         object.__setattr__(self, "n_blocks", _count(self.n_blocks, "block count", least=1))
         object.__setattr__(self, "width", _count(self.width, "feature width", least=1))
-        gain = _real(self.gain, "nonlinearity gain")  # a bool too: it dumps as true, which a config refuses
-        if not (math.isfinite(gain) and gain >= 0.0):
-            raise ValueError(f"nonlinearity gain must be finite and >= 0, got {self.gain}")
-        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "gain", _real(self.gain, "nonlinearity gain", least=0.0))
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.mixing not in ("rotation", "identity"):
             raise ValueError(f"mixing must be 'rotation' or 'identity', got {self.mixing!r}")

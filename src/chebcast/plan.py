@@ -7,7 +7,6 @@ plans once, at construction, and a run (chebcast.sandbox) only reads it.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -40,9 +39,7 @@ class ForecasterChoice:
         if self.cache_scope not in CACHE_SCOPES:
             raise ValueError(f"cache scope must be one of {CACHE_SCOPES}, got {self.cache_scope!r}")
         order, degree = _count(self.order, "taylor order"), _count(self.degree, "basis degree")
-        lam = _real(self.lam, "regularization strength")
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(f"regularization strength must be finite and >= 0, got {lam}")
+        lam = _real(self.lam, "regularization strength", least=0.0)
         window = None if self.window is None else _count(self.window, "cache window", least=1)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "degree", degree)

@@ -134,8 +134,8 @@ def run_sampler(spec: DenoiserSpec, config: SolverConfig, x0: np.ndarray) -> Tra
         else:
             features[j] = target[0] = evaluate_denoiser(spec, x, t)  # the score is the feature itself
         if not np.isfinite(target).all():
-            raise SamplerError(f"{config.forecaster.kind} run: observe failed at step {j + 1} (t={t:g}): "
-                               f"feature at t={t:g} has non-finite entries")
+            raise SamplerError(f"{config.forecaster.kind} run: the pass at step {j + 1} (t={t:g}) "
+                               "gave a feature with non-finite entries")
         if stretch is None:  # else the stretch after this pass takes its Euler step
             x = x + increments[j] * features[j]
             states[j] = x

@@ -15,35 +15,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .basis import _count, _real
 
 
 @dataclass(frozen=True)
 class ScheduleParams:
+    """The adaptive rule's counts, each an int >= 1 (warmup <= n_steps), and its rate alpha >= 0, by chebcast.basis."""
+
     n_steps: int = 50
     interval: int = 1
     warmup: int = 1
     alpha: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_steps", "interval", "warmup"):  # a non-number is refused before any comparison
-            value = getattr(self, name)
-            if not isinstance(value, (int, float, np.integer)):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not (1 <= self.warmup <= self.n_steps):
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", least=1))
+        object.__setattr__(self, "interval", _count(self.interval, "interval", least=1))
+        object.__setattr__(self, "warmup", _count(self.warmup, "warmup", least=1))
+        if self.warmup > self.n_steps:
             raise ValueError(f"warmup must be in [1, {self.n_steps}], got {self.warmup}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-        alpha = _real(self.alpha, "alpha")  # a bool too: it dumps as true, which a config refuses
-        if not (math.isfinite(alpha) and alpha >= 0.0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        object.__setattr__(self, "alpha", alpha)
-        for name in ("n_steps", "interval", "warmup"):  # in range, so now only a bool or a fraction is refused
-            object.__setattr__(self, name, _count(getattr(self, name), name, least=1))
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", least=0.0))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from chebcast import EllipseBound, basis_matrix, basis_row, project_time, truncation_bound
+from chebcast import (
+    BlockStack,
+    EllipseBound,
+    ForecasterChoice,
+    ScheduleParams,
+    basis_matrix,
+    basis_row,
+    project_time,
+    truncation_bound,
+)
 
 
 def test_degree_zero_and_one():
@@ -97,6 +106,23 @@ def test_truncation_bound_values():
     assert truncation_bound(EllipseBound(2.0, 1.0), 0) == pytest.approx(2.0)
     # 3 * 2 / 0.5 * 1.5**-4
     assert truncation_bound(EllipseBound(1.5, 3.0), 4) == pytest.approx(2.3703703703, abs=1e-9)
+
+
+# Each number checked by _real, at an int that float() cannot convert -> the parameter as its message names it
+PAST_THE_FLOAT_RANGE = {
+    "schedule alpha": (lambda: ScheduleParams(alpha=10**400), "alpha"),
+    "block-stack gain": (lambda: BlockStack(gain=10**400), "nonlinearity gain"),
+    "ridge lambda": (lambda: ForecasterChoice(kind="spectrum", lam=10**400), "regularization strength"),
+    "ellipse parameter": (lambda: EllipseBound(10**400, 1.0), "ellipse parameter"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_FLOAT_RANGE))
+def test_an_int_past_the_float_range_is_a_value_error_naming_the_parameter(case):
+    """A ValueError on one line, not the OverflowError of float(); its 401 digits are not printed."""
+    build, what = PAST_THE_FLOAT_RANGE[case]
+    with pytest.raises(ValueError, match=f"^{what} must lie in the float range, got an integer of 1329 bits$"):
+        build()
 
 
 def test_ellipse_bound_validation():

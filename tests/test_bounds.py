@@ -205,3 +205,15 @@ def test_layer_imports_only_the_layers_below(module):
 @pytest.mark.parametrize("module", sorted(NOT_IMPORTED))
 def test_import_graph_keeps_the_plan_and_the_denoisers_apart(module):
     assert not package_imports(module) & NOT_IMPORTED[module]
+
+
+def test_only_basis_decides_what_a_number_is():
+    """isinstance(..., bool) is the mark of a count or number rule; every other module calls the ones in basis."""
+    deciders = set()
+    for path in Path(importlib.import_module("chebcast").__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    deciders.add(path.name)
+    assert deciders == {"basis.py"}

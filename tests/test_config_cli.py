@@ -174,7 +174,7 @@ def test_cli_schedule_degenerate():
 def test_cli_schedule_invalid_flags():
     proc = run_cli("schedule", "--n", "50", "--interval", "0", "--warmup", "1")
     assert proc.returncode == 2
-    assert proc.stderr == "error: interval must be >= 1, got 0\n"
+    assert proc.stderr == "error: interval must be an integer >= 1, got 0\n"
 
 
 def test_cli_schedule_huge_alpha_stops_after_the_first_gap():
@@ -454,6 +454,15 @@ def test_invalid_value_is_config_error(case):
         parse_config(invalid_raw(case))
 
 
+def test_cli_simulate_alpha_past_the_float_range_exit_code(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(invalid_raw("alpha past the float range")))
+    proc = run_cli("simulate", str(path), env={"CHEBCAST_OUTPUT_DIR": str(tmp_path / "out")})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid value for schedule.alpha: int too large to convert to float\n"
+    assert not (tmp_path / "out").exists()
+
+
 def taylor_raw(schedule, order, window=None):
     raw = GOLDEN["function_family_config.json"]().to_dict()
     raw["schedule"].update(schedule)
@@ -568,7 +577,7 @@ def test_cli_simulate_non_finite_feature_exit_code(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-    assert errors == ["error: oracle run: observe failed at step 16 (t=0.75): feature at t=0.75 has non-finite entries"]
+    assert errors == ["error: oracle run: the pass at step 16 (t=0.75) gave a feature with non-finite entries"]
     assert not (tmp_path / "out").exists()
 
 

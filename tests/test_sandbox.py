@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -125,6 +126,37 @@ def test_spec_refuses_a_non_finite_parameter(case):
     """Refused at construction, not at the first pass; a NaN weight would pass the sum-to-1 check."""
     build, refused = NON_FINITE_SPECS[case]
     with pytest.raises(ValueError, match=f"^{refused}"):
+        build()
+
+
+# A channel field given a shape other than the one it declares -> the message; it used to fail only at features(t)
+WRONG_SHAPED_CHANNELS = {
+    "scalar coefficients": (lambda: PolynomialChannel(3.0), r"coefficients must be a sequence of numbers, got 3.0"),
+    "tuple amplitude": (lambda: SineChannel(amplitude=(1.0, 2.0)), r"amplitude must be a number, got \(1.0, 2.0\)"),
+    "list rate": (lambda: ExponentialChannel(rate=[1.0]), r"rate must be a number, got \[1.0\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPED_CHANNELS))
+def test_channel_refuses_a_value_of_the_wrong_shape(case):
+    build, refused = WRONG_SHAPED_CHANNELS[case]
+    with pytest.raises(ValueError, match=f"^channel {refused}$"):
+        build()
+
+
+# A mixture array that is not (n_components, dim) -> the shapes of weights, means and variances the message names
+WRONG_SHAPED_MIXTURES = {
+    "1-D variances": (lambda: GaussianMixtureFlow((0.5, 0.5), np.zeros((2, 3)), np.ones(2)), "(2,), (2, 3) and (2,)"),
+    "1-D means": (lambda: GaussianMixtureFlow((1.0,), np.zeros(3), np.ones((1, 3))), "(1,), (3,) and (1, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPED_MIXTURES))
+def test_mixture_takes_only_its_declared_shapes(case):
+    """Neither promoted to one component nor broadcast over the dimensions."""
+    build, shapes = WRONG_SHAPED_MIXTURES[case]
+    refused = "mixture weights, means and variances must have shapes (n_components,), (n_components, dim) and "
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}.*, got {re.escape(shapes)}$"):
         build()
 
 
@@ -337,7 +369,7 @@ def test_non_finite_feature_fails_at_its_step(scope):
     spec = _NanAfter(n_blocks=2, width=3)
     config = SolverConfig(uniform_schedule(20, 2, 1), ForecasterChoice(kind="spectrum", cache_scope=scope))
     # t = (j-1)/20 >= 0.3 first at step 7, an actual pass of the interval-2 schedule
-    with pytest.raises(SamplerError, match=r"observe failed at step 7 \(t=0.3\).*non-finite"):
+    with pytest.raises(SamplerError, match=r"the pass at step 7 \(t=0.3\).*non-finite"):
         run_sampler(spec, config, np.zeros(3))
 
 
@@ -403,7 +435,7 @@ def test_oracle_run_checks_every_pass():
     spec = FunctionFamily(channels=(PolynomialChannel((1.0, -0.5)), ExponentialChannel(0.5, 1000.0)))
     # 0.5 * exp(1000 t) overflows from t = 0.75 on, step 16 of 20
     with np.errstate(over="ignore"), pytest.raises(
-        SamplerError, match=r"^oracle run: observe failed at step 16 \(t=0.75\): feature at t=0.75 has non-finite"
+        SamplerError, match=r"^oracle run: the pass at step 16 \(t=0.75\) gave a feature with non-finite entries$"
     ):
         oracle_run(spec, 20, np.zeros(2))
 
@@ -425,7 +457,7 @@ def test_a_feature_overflowing_at_a_pass_fails_at_that_step(kind):
     # exp(8000 t) is inf from t = 0.1 on, step 2 of 10, a pass of the warm-up
     config = SolverConfig(uniform_schedule(10, 2, 2), ForecasterChoice(kind=kind, order=0))
     with np.errstate(over="ignore"), pytest.raises(
-        SamplerError, match=rf"^{kind} run: observe failed at step 2 \(t=0.1\): feature at t=0.1 has non-finite"
+        SamplerError, match=rf"^{kind} run: the pass at step 2 \(t=0.1\) gave a feature with non-finite entries$"
     ):
         run_sampler(spec, config, np.zeros(2))
 
@@ -695,7 +727,7 @@ def stepwise_reference(spec, schedule, choice, x0):
                 for fc, target in zip(forecasters, targets):
                     fc.observe(t, target)
             except ValueError as err:
-                raise SamplerError(f"observe failed at step {j} (t={t:g}): {err}") from err
+                raise SamplerError(f"{choice.kind} run: the pass at step {j} (t={t:g}) failed: {err}") from err
             flags.append("actual")
         else:
             try:
@@ -1029,7 +1061,7 @@ def test_per_block_nan_residual_fails_at_its_step():
     spec = _NanOnce(n_blocks=3, width=4)
     config = SolverConfig(uniform_schedule(20, 2, 1), ForecasterChoice(kind="spectrum", cache_scope="per_block"))
     # t = 0.4 is step 9, an actual pass of the interval-2 schedule
-    with pytest.raises(SamplerError, match=r"observe failed at step 9 \(t=0.4\).*non-finite"):
+    with pytest.raises(SamplerError, match=r"the pass at step 9 \(t=0.4\).*non-finite"):
         run_sampler(spec, config, np.zeros(4))
 
 

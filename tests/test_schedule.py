@@ -116,9 +116,11 @@ def test_partition_into_full_and_forecast(n_steps, interval, warmup, alpha, d_al
 
 # (n_steps, interval, warmup, alpha) -> the refused parameter, as the message names it
 INVALID_PARAMS = [
-    ((50, 2, 0, 0.0), "warmup"),
-    ((10, 2, 11, 0.0), "warmup"),
-    ((50, 0, 1, 0.0), "interval"),
+    # a count below 1, by the one rule for counts: ActivationSchedule's message too (INVALID_SCHEDULES)
+    ((0, 1, 1, 0.0), "^n_steps must be an integer >= 1, got 0$"),
+    ((50, 2, 0, 0.0), "^warmup must be an integer >= 1, got 0$"),
+    ((50, 0, 1, 0.0), "^interval must be an integer >= 1, got 0$"),
+    ((10, 2, 11, 0.0), "^warmup must be in \\[1, 10\\], got 11$"),
     ((50, 2, 1, -0.5), "alpha"),
     ((50, 2, 1, math.inf), "alpha must be finite"),
     ((50, 2, 1, math.nan), "alpha must be finite"),
